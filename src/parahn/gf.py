@@ -2,9 +2,17 @@
 
 Elements are plain ints in [0, p^k): the coefficient vector (c_0, ..., c_{k-1})
 of the residue class mod the field's modulus, packed base p as
-c_0 + c_1*p + ... .  All arithmetic goes through the owning GF instance, which
-precomputes full add/mul tables for small fields so that the enumeration hot
-loops stay cheap.
+c_0 + c_1*p + ... .  All arithmetic goes through the owning GF instance.
+
+Fields with at most _TABLE_MAX = 256 elements precompute dense add, sub, mul,
+neg and inv tables, so each of those element operations is one lookup.  Bulk
+work (echelon forms, polynomial arithmetic) goes through the row primitives
+(row_add, row_addmul, row_scale, ...), which act on whole rows at once.  They
+are the one place outside the element methods that branches on the tables:
+the table branch fetches one table row per call and then does plain list
+lookups, so linalg and poly never see a table and have one copy of each
+kernel.  Larger fields have no tables; there the row primitives fall back to
+the element methods, which work on coefficient vectors.
 
 The modulus of a proper extension is pinned to the lexicographically smallest
 monic irreducible (coefficients compared low-to-high), making serialized data
@@ -161,9 +169,7 @@ class GF:
                 raise InvalidDegree("modulus must be monic of degree k")
             if not _is_irreducible(self.modulus, p):
                 raise InvalidDegree("modulus is reducible")
-        self._add = None
-        self._mul = None
-        self._inv = None
+        self._add = self._sub = self._mul = self._neg = self._inv = None
         if self.q <= _TABLE_MAX:
             self._build_tables()
 
@@ -193,22 +199,21 @@ class GF:
         if self.k == 1:
             self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
             self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-            return
-        vecs = [self.coeffs(a) for a in range(q)]
-        self._add = [
-            [self.encode((x + y) % p for x, y in zip(vecs[a], vecs[b])) for b in range(q)]
-            for a in range(q)
-        ]
-        self._mul = [
-            [self.encode(_fp_poly_mulmod(vecs[a], vecs[b], self.modulus, p)) for b in range(q)]
-            for a in range(q)
-        ]
-        inv = [0] * q
-        for a in range(1, q):
-            row = self._mul[a]
-            inv[a] = row.index(1)
-        self._inv = inv
+            self._neg = [(-a) % p for a in range(p)]
+        else:
+            vecs = [self.coeffs(a) for a in range(q)]
+            self._add = [
+                [self.encode((x + y) % p for x, y in zip(vecs[a], vecs[b])) for b in range(q)]
+                for a in range(q)
+            ]
+            self._mul = [
+                [self.encode(_fp_poly_mulmod(vecs[a], vecs[b], self.modulus, p)) for b in range(q)]
+                for a in range(q)
+            ]
+            self._neg = [self.encode((-x) % p for x in vecs[a]) for a in range(q)]
+        neg = self._neg
+        self._sub = [[row[neg[b]] for b in range(q)] for row in self._add]
+        self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
@@ -217,9 +222,13 @@ class GF:
         return self.encode((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def sub(self, a: int, b: int) -> int:
+        if self._sub is not None:
+            return self._sub[a][b]
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
+        if self._neg is not None:
+            return self._neg[a]
         p = self.p
         if self.k == 1:
             return (-a) % p
@@ -228,6 +237,8 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
             return self._mul[a][b]
+        if self.k == 1:
+            return a * b % self.p
         return self.encode(
             _fp_poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p)
         )
@@ -252,6 +263,80 @@ class GF:
                 acc = self.mul(acc, cur)
             cur = self.mul(cur, cur)
             e >>= 1
+        return acc
+
+    # -- row primitives ----------------------------------------------------
+    #
+    # Elementwise operations on rows (any sequences of element codes),
+    # returning new lists.  Two rows are zipped, so the result is as long as
+    # the shorter one.  Each primitive has a table branch, one lookup per
+    # element after fetching the table row of the scalar once, and a fallback
+    # through the element methods for fields without tables.
+
+    def row_add(self, x, y) -> list:
+        """x + y."""
+        if self._add is not None:
+            add = self._add
+            return [add[a][b] for a, b in zip(x, y)]
+        return [self.add(a, b) for a, b in zip(x, y)]
+
+    def row_sub(self, x, y) -> list:
+        """x - y."""
+        if self._sub is not None:
+            sub = self._sub
+            return [sub[a][b] for a, b in zip(x, y)]
+        return [self.sub(a, b) for a, b in zip(x, y)]
+
+    def row_neg(self, x) -> list:
+        """-x."""
+        if self._neg is not None:
+            neg = self._neg
+            return [neg[a] for a in x]
+        return [self.neg(a) for a in x]
+
+    def row_scale(self, x, c: int) -> list:
+        """c * x."""
+        if self._mul is not None:
+            mc = self._mul[c]
+            return [mc[a] for a in x]
+        return [self.mul(c, a) for a in x]
+
+    def row_addmul(self, x, c: int, y) -> list:
+        """x + c * y."""
+        if self._mul is not None:
+            add, mc = self._add, self._mul[c]
+            return [add[a][mc[b]] for a, b in zip(x, y)]
+        return [self.add(a, self.mul(c, b)) for a, b in zip(x, y)]
+
+    def row_submul(self, x, c: int, y) -> list:
+        """x - c * y."""
+        if self._mul is not None:
+            sub, mc = self._sub, self._mul[c]
+            return [sub[a][mc[b]] for a, b in zip(x, y)]
+        return [self.sub(a, self.mul(c, b)) for a, b in zip(x, y)]
+
+    def row_dot(self, x, y) -> int:
+        """sum of x_i * y_i."""
+        acc = 0
+        if self._mul is not None:
+            add, mul = self._add, self._mul
+            for a, b in zip(x, y):
+                acc = add[acc][mul[a][b]]
+            return acc
+        for a, b in zip(x, y):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
+    def row_horner(self, x, t: int) -> int:
+        """sum of x_i * t^i (x low-to-high), by Horner's rule."""
+        acc = 0
+        if self._mul is not None:
+            add, mt = self._add, self._mul[t]
+            for c in reversed(x):
+                acc = add[mt[acc]][c]
+            return acc
+        for c in reversed(x):
+            acc = self.add(self.mul(acc, t), c)
         return acc
 
     # -- identity ----------------------------------------------------------

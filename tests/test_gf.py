@@ -5,6 +5,8 @@ import pytest
 from parahn.errors import InvalidDegree, NotPrime
 from parahn.gf import GF, field_make
 
+from oracles import SMALL_FIELDS, untabled
+
 
 def test_prime_field_has_no_modulus():
     F = field_make(3, 1)
@@ -77,3 +79,81 @@ def test_extension_of_extension_field():
         for b in range(F.q):
             assert embed(F.mul(a, b)) == big.mul(embed(a), embed(b))
             assert embed(F.add(a, b)) == big.add(embed(a), embed(b))
+
+
+# -- tables and row primitives against the coefficient-vector definition -------
+
+def _ref_tables(F):
+    """add, neg, mul tables straight from coefficient vectors, sharing no code
+    with the field's own tables."""
+    p, k, q = F.p, F.k, F.q
+    mod = F.modulus
+    vecs = [F.coeffs(a) for a in range(q)]
+
+    def mul(u, v):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        for i in range(len(prod) - 1, k - 1, -1):  # reduce by the monic modulus
+            c, prod[i] = prod[i], 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
+        return F.encode(prod[:k])
+
+    add = [[F.encode((x + y) % p for x, y in zip(u, v)) for v in vecs] for u in vecs]
+    neg = [F.encode((-x) % p for x in u) for u in vecs]
+    return add, neg, [[mul(u, v) for v in vecs] for u in vecs]
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_element_ops_match_coefficient_vectors(p, k, tabled):
+    F = field_make(p, k) if tabled else untabled(p, k)
+    assert (F._add is not None) == tabled
+    add, neg, mul = _ref_tables(F)
+    for a in range(F.q):
+        assert F.neg(a) == neg[a]
+        for b in range(F.q):
+            assert F.add(a, b) == add[a][b]
+            assert F.sub(a, b) == add[a][neg[b]]
+            assert F.mul(a, b) == mul[a][b]
+        if a:
+            assert mul[a][F.inv(a)] == 1
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "untabled"])
+@pytest.mark.parametrize("p,k", SMALL_FIELDS)
+def test_row_primitives_match_coefficient_vectors(p, k, tabled):
+    F = field_make(p, k) if tabled else untabled(p, k)
+    add, neg, mul = _ref_tables(F)
+    q = F.q
+    # every (a, b) pair once, so each scalar c below covers all triples
+    x = [a for a in range(q) for _ in range(q)]
+    y = [b for _ in range(q) for b in range(q)]
+    assert F.row_add(x, y) == [add[a][b] for a, b in zip(x, y)]
+    assert F.row_sub(x, y) == [add[a][neg[b]] for a, b in zip(x, y)]
+    assert F.row_neg(x) == [neg[a] for a in x]
+    for c in range(q):
+        cy = [mul[c][b] for b in y]
+        assert F.row_scale(y, c) == cy
+        assert F.row_addmul(x, c, y) == [add[a][b] for a, b in zip(x, cy)]
+        assert F.row_submul(x, c, y) == [add[a][neg[b]] for a, b in zip(x, cy)]
+        powers = [1, c, mul[c][c], mul[c][mul[c][c]]]
+        for a in range(q):
+            row = (a, c, neg[a], 1)
+            dot = 0
+            for u, v in zip(row, powers):
+                dot = add[dot][mul[u][v]]
+            assert F.row_dot(row, powers) == dot
+            assert F.row_horner(row, c) == dot
+    assert F.row_add(x, y[:3]) == F.row_add(x[:3], y[:3])  # rows are zipped
+    assert F.row_dot((), ()) == 0 and F.row_horner((), 1) == 0
+
+
+def test_prime_field_above_table_size_multiplies():
+    F = field_make(257, 1)
+    assert F._mul is None
+    assert F.mul(200, 3) == 600 % 257
+    assert F.mul(F.inv(5), 5) == 1
+    assert F.row_scale([1, 2, 256], 2) == [2, 4, 255]

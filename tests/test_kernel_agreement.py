@@ -1,0 +1,63 @@
+"""The table path of the linalg and poly kernels against the element-method
+path: each kernel gives the same result on a tabled field and on the same
+field built without tables (oracles.untabled)."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parahn.gf import field_make
+from parahn.linalg import matmul, matvec, rref
+from parahn.poly import padd, pdivmod, peval, pgcd, pmul, pneg, pnorm, pscale, psub, pxgcd
+
+from oracles import SMALL_FIELDS, untabled
+
+
+@st.composite
+def fields(draw):
+    """(tabled, untabled) copies of one field with q <= 27."""
+    p, k = draw(st.sampled_from(SMALL_FIELDS))
+    return field_make(p, k), untabled(p, k)
+
+
+def elements(F):
+    return st.integers(0, F.q - 1)
+
+
+def rows(F, n):
+    return st.lists(elements(F), min_size=n, max_size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fields(), st.data())
+def test_rref_same_on_tabled_and_untabled_field(FU, data):
+    F, U = FU
+    m = data.draw(st.integers(1, 6))
+    mat = data.draw(st.lists(rows(F, m), min_size=1, max_size=5))
+    assert rref(F, mat) == rref(U, mat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields(), st.data())
+def test_matmul_and_matvec_same_on_tabled_and_untabled_field(FU, data):
+    F, U = FU
+    m = data.draw(st.integers(1, 6))
+    a = data.draw(st.lists(rows(F, m), min_size=1, max_size=5))
+    b = data.draw(st.lists(rows(F, 3), min_size=m, max_size=m))
+    v = data.draw(rows(F, m))
+    assert matmul(F, a, b) == matmul(U, a, b)
+    assert matvec(F, a, v) == matvec(U, a, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields(), st.data())
+def test_poly_kernels_same_on_tabled_and_untabled_field(FU, data):
+    F, U = FU
+    a, b = (pnorm(data.draw(st.lists(elements(F), max_size=7))) for _ in range(2))
+    x = data.draw(elements(F))
+    for f in (pmul, padd, psub, pgcd, pxgcd):
+        assert f(F, a, b) == f(U, a, b)
+    assert pneg(F, a) == pneg(U, a)
+    assert pscale(F, a, x) == pscale(U, a, x)
+    assert peval(F, a, x) == peval(U, a, x)
+    if b:
+        assert pdivmod(F, a, b) == pdivmod(U, a, b)
