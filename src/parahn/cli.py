@@ -1,8 +1,10 @@
 """Command-line surface: one command per process, deterministic JSON reports.
 
-Exit codes: 0 success, 1 domain error, 2 enumeration budget exhausted.  The
-report payload is byte-stable for identical inputs and flags; only the
-timing_ms field varies between runs.
+Exit codes: 0 success, 1 domain error, 2 enumeration budget exhausted,
+3 internal error (NonUniqueMaximum or an AssertionError from the engine; the
+report is still emitted and names the error class).  The report payload is
+byte-stable for identical inputs and flags; only the timing_ms field varies
+between runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import BudgetExceeded, ParahnError, UnknownCommand
+from .errors import BudgetExceeded, NonUniqueMaximum, ParahnError, UnknownCommand
 from .hn import (
     enumerate_B,
     enumerate_F,
@@ -305,6 +307,9 @@ def run_command(cmd: str, text: str, args) -> tuple[dict, int]:
             "cap": exc.cap,
         }
         code = 2
+    except (AssertionError, NonUniqueMaximum) as exc:
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        code = 3
     except ParahnError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 1

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BudgetExceeded,
     LengthMismatch,
     NoComparableStratum,
     NonUniqueMaximum,
@@ -37,6 +38,7 @@ from .sheaves import (
     DEFAULT_BUDGET,
     SplitBundle,
     Subbundle,
+    enumerate_candidate_count,
     enumerate_subbundles,
     full_subbundle,
     zero_subbundle,
@@ -46,12 +48,16 @@ _ENUM_CACHE: dict = {}
 
 
 def _enum(E: SplitBundle, r: int, d: int, min_tw: int, budget: int):
+    """Cached window; a hit still raises BudgetExceeded past the budget."""
     key = (E.field.key(), E.twists, r, d, min_tw)
     hit = _ENUM_CACHE.get(key)
     if hit is None:
-        hit = enumerate_subbundles(E, r, d, min_tw, budget)
-        _ENUM_CACHE[key] = hit
-    return hit
+        subs = enumerate_subbundles(E, r, d, min_tw, budget)
+        hit = _ENUM_CACHE[key] = (enumerate_candidate_count(E, r, d, min_tw), subs)
+    count, subs = hit
+    if count > budget:
+        raise BudgetExceeded(count, budget)
+    return subs
 
 
 def _min_col_twist(E: SplitBundle, r: int, d: int) -> int:

@@ -4,13 +4,18 @@ Flags live in the fiber of the bundle at each marked point (plain subspaces
 of F_q^n in the t-chart frame), weighted by strictly increasing rationals in
 (0, 1).  The parabolic degree of a subbundle is computed from its induced
 flag intersections, so every slope comparison reduces to exact rational
-arithmetic plus small echelon computations.
+arithmetic plus small echelon computations.  Each bundle computes, once per
+marked point, the coordinates adapted to its flag (a basis whose first
+dim F_m vectors span F_m, inverted and with its columns reversed); in those
+coordinates a single rref of a subbundle's fiber gives every flag
+intersection dimension from its pivot columns (see induced_quot_datum).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     BadWeights,
@@ -21,7 +26,7 @@ from .errors import (
     NotNested,
     ShapeMismatch,
 )
-from .linalg import intersect_dim, kernel_basis, matmul, matvec, rref, subspace_leq
+from .linalg import identity, kernel_basis, matmul, matvec, rref, subspace_leq
 from .poly import pnorm
 from .sheaves import SplitBundle, Subbundle, quotient_bundle
 
@@ -118,6 +123,30 @@ class ParabolicBundle:
     def rank(self) -> int:
         return self.bundle.rank
 
+    @cached_property
+    def flag_coords(self):
+        """Per point, the n x n matrix taking fiber rows to flag-adapted coordinates.
+
+        The adapted basis b_1..b_n lists, in order, the first independent
+        rows among the echelon bases of F_1, F_2, ..., F_N = F_q^n (pivot
+        columns of the rref of their transpose), so b_1..b_{dim F_m} span
+        F_m.  The matrix is that basis's inverse with its columns reversed:
+        row w maps to its coordinates c_n..c_1 in the basis, so w lies in F_m
+        exactly when its image vanishes outside the last dim F_m columns.
+        """
+        F = self.field
+        n = self.rank
+        eye = identity(n)
+        out = []
+        for fl in self.flags:
+            stack = tuple(
+                v for m in range(1, fl.chain_length + 1) for v in fl.subspace(m, n)
+            )
+            _, _, chosen = rref(F, tuple(zip(*stack)))
+            red, _, _ = rref(F, tuple(stack[i] + eye[k] for k, i in enumerate(chosen)))
+            out.append(tuple(tuple(row[:n - 1:-1]) for row in red))
+        return tuple(out)
+
     def extend_scalars(self, m: int) -> "ParabolicBundle":
         big, embed = self.field.extension(m)
         new_bundle = SplitBundle(big, self.bundle.twists)
@@ -145,21 +174,34 @@ class QuotDatum:
 
 
 def induced_quot_datum(V: ParabolicBundle, W: Subbundle) -> QuotDatum:
-    """Invariant of W with its induced flag intersections at each point."""
+    """Invariant of W with its induced flag intersections at each point.
+
+    One rref per point.  Let C be W's fiber rows mapped by V.flag_coords
+    (coordinates in the flag-adapted basis, columns reversed), so that F_m
+    is the set of vectors supported on columns k_m = n - dim F_m .. n - 1.
+    Then dim(W ∩ F_m) is the number of pivot columns of rref(C) that are at
+    least k_m, so the m-th jump counts the pivots in [k_m, k_{m-1}).  Proof: a reduced row with pivot p is zero left of p, so the
+    rows with pivots >= k_m lie in F_m, and they are independent.
+    Conversely, a vector v = sum a_i R_i of the row space has entry a_i at
+    the pivot column p_i of R_i (the other rows are zero there); if v lies
+    in F_m it vanishes left of k_m, so a_i = 0 whenever p_i < k_m, and v
+    is spanned by the rows with pivots >= k_m.  Nothing assumes the flag is
+    complete: a zero jump repeats k_m and gives a zero difference.
+    """
     if W.bundle != V.bundle:
         raise InvalidSubbundle("subbundle lives in a different ambient bundle")
     F = V.field
     n = V.rank
     all_jumps = []
-    for x, fl in zip(V.points, V.flags):
-        fiber = W.fiber_matrix(x)
-        w_rows = tuple(
-            tuple(fiber[j][k] for j in range(n)) for k in range(W.rank)
-        )
-        dims = [0]
-        for m in range(1, fl.chain_length + 1):
-            dims.append(intersect_dim(F, w_rows, fl.subspace(m, n)))
-        all_jumps.append(tuple(b - a for a, b in zip(dims, dims[1:])))
+    for x, fl, coords in zip(V.points, V.flags, V.flag_coords):
+        w_rows = tuple(zip(*W.fiber_matrix(x)))
+        _, _, pivots = rref(F, matmul(F, w_rows, coords))
+        jumps = []
+        hi = n
+        for a in fl.jumps:
+            jumps.append(sum(1 for p in pivots if hi - a <= p < hi))
+            hi -= a
+        all_jumps.append(tuple(jumps))
     return QuotDatum(W.rank, W.degree, tuple(all_jumps))
 
 

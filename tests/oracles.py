@@ -6,6 +6,10 @@ subbundle inside it, and classifies the bundle without touching the greedy
 engine.  At most one line can beat the total slope (two would violate degree
 additivity), which the oracle asserts rather than assumes.
 
+induced_jumps_reference recomputes the induced flag jumps of a subbundle
+the direct way, one intersect_dim per flag member, without the engine's
+flag-adapted coordinates.
+
 SMALL_FIELDS lists every field with q <= 27, prime and extension.  untabled()
 builds a small field the way fields above 256 elements are built, without op
 tables, so the kernels' element-method fallback can be checked against the
@@ -13,6 +17,7 @@ table path on the same inputs.
 """
 
 import parahn.gf as gf
+from parahn.linalg import intersect_dim
 from parahn.parabolic import parabolic_degree
 from parahn.rat import floor_frac
 from parahn.sheaves import enumerate_subbundles
@@ -44,6 +49,21 @@ def rank2_oracle(V):
     L = beating[0]
     s = parabolic_degree(V, L)
     return (s, parabolic_degree(V) - s), L
+
+
+def induced_jumps_reference(V, W):
+    """Per point, the jumps of dim(W_x ∩ F_m) over the flag members F_m."""
+    n = V.rank
+    out = []
+    for x, fl in zip(V.points, V.flags):
+        fiber = W.fiber_matrix(x)
+        w_rows = [[fiber[j][k] for j in range(n)] for k in range(W.rank)]
+        dims = [0] + [
+            intersect_dim(V.field, w_rows, fl.subspace(m, n))
+            for m in range(1, fl.chain_length + 1)
+        ]
+        out.append(tuple(b - a for a, b in zip(dims, dims[1:])))
+    return tuple(out)
 
 
 # every field with q <= 27: the primes, and F_4, F_8, F_9, F_16, F_25, F_27

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from parahn import cli
 from parahn.cli import build_parser, main, run_command
-from parahn.errors import ConsistencyError, ParseError, SchemaError
+from parahn.errors import ConsistencyError, NonUniqueMaximum, ParseError, SchemaError
 from parahn.specio import parse_spec
 
 R2_DOC = {
@@ -283,3 +284,15 @@ def test_budget_env_var_sets_default(tmp_path, monkeypatch):
     monkeypatch.setenv("PARAHN_BUDGET", "17")
     args = build_parser().parse_args(["hn", "--input", "x"])
     assert args.budget == 17
+
+
+@pytest.mark.parametrize("exc", [AssertionError("broken invariant"), NonUniqueMaximum("two maxima")])
+def test_internal_error_exit_code(tmp_path, monkeypatch, exc):
+    def broken(spec, args, budget):
+        raise exc
+
+    monkeypatch.setitem(cli._DISPATCH, "hn", broken)
+    report, code = run(tmp_path, "hn", R2_DOC)
+    assert code == 3
+    assert report["error"] == {"type": type(exc).__name__, "message": str(exc)}
+    assert "timing_ms" in report

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from parahn.errors import LengthMismatch, NoComparableStratum
+import parahn.hn as hn
+from parahn.errors import BudgetExceeded, LengthMismatch, NoComparableStratum
 from parahn.gf import field_make
 from parahn.hn import (
     FlagFamily,
@@ -93,6 +94,20 @@ def test_rank_one_always_semistable():
 def test_classical_datum_of_split_bundle_is_sorted_twists():
     V = ParabolicBundle(SplitBundle(F3, (1, 0, -1)), (), (), ())
     assert hn_datum(hn_filtration(V)) == (1, 0, -1)
+
+
+@pytest.mark.parametrize("warm_first", [False, True])
+def test_budget_holds_on_cached_windows(monkeypatch, warm_first):
+    monkeypatch.setattr(hn, "_ENUM_CACHE", {})
+    E = SplitBundle(F3, (0, 0, 0))
+    if warm_first:
+        assert len(hn._enum(E, 2, 0, 0, budget=10**6)) == 13
+    with pytest.raises(BudgetExceeded) as exc:
+        hn._enum(E, 2, 0, 0, budget=1)
+    assert (exc.value.count, exc.value.cap) == (169, 1)
+    assert len(hn._enum(E, 2, 0, 0, budget=169)) == 13
+    with pytest.raises(BudgetExceeded):
+        hn._enum(E, 2, 0, 0, budget=168)
 
 
 def test_semistability_fixtures():
