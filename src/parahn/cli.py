@@ -19,6 +19,7 @@ import time
 from . import __version__
 from .errors import BudgetExceeded, NonUniqueMaximum, ParahnError, UnknownCommand
 from .hn import (
+    _min_col_twist,
     enumerate_B,
     enumerate_F,
     family_scan,
@@ -31,7 +32,7 @@ from .hn import (
     strata_member,
 )
 from .parabolic import QuotDatum, hom_parabolic, parabolic_degree
-from .rat import rat_parse, rat_str
+from .rat import rat_str
 from .sheaves import DEFAULT_BUDGET, enumerate_subbundles
 from .specio import (
     BundleSpec,
@@ -41,6 +42,7 @@ from .specio import (
     emit_poly,
     emit_quot_datum,
     emit_subbundle,
+    parse_datum,
     parse_spec,
 )
 from .theta import is_admissible, theta_filtration, wt_chi, wt_combined, wt_det
@@ -69,10 +71,7 @@ def _require(value, name):
 
 def _get_datum(spec: BundleSpec, args):
     if args.datum:
-        P = tuple(rat_parse(x) for x in args.datum.split(","))
-        if len(P) != spec.bundle.rank:
-            raise ParahnError("--datum length must equal the bundle rank")
-        return P
+        return parse_datum(args.datum.split(","), spec.bundle.rank, "--datum")
     return _require(spec.datum, "datum")
 
 
@@ -92,7 +91,7 @@ def _cmd_enum_sub(spec, args, budget):
     r, d = q["rank"], q["degree"]
     mct = q["min_col_twist"]
     if mct is None:
-        mct = d - (r - 1) * max(E.twists)
+        mct = _min_col_twist(E, r, d)
     subs = enumerate_subbundles(E, r, d, mct, budget)
     return {
         "count": len(subs),

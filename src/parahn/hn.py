@@ -23,12 +23,12 @@ from .errors import (
     DegenerateFlagAt,
     ShapeMismatch,
 )
-from .linalg import rref, subspace_leq
 from .parabolic import (
-    Flag,
     ParabolicBundle,
     QuotDatum,
+    check_flag_shape,
     degree_from_datum,
+    flag_make,
     induced_quot_datum,
     parabolic_degree,
 )
@@ -320,18 +320,29 @@ def complete_flag(V: ParabolicBundle, budget: int = DEFAULT_BUDGET):
 # -- point enumerators ----------------------------------------------------------
 
 
-def quot_points(V: ParabolicBundle, theta: QuotDatum, budget: int = DEFAULT_BUDGET):
-    """All subbundles whose induced invariant equals theta, in key order."""
-    E = V.bundle
-    if theta.rank < 1 or theta.rank > E.rank:
+def check_quot_datum(V: ParabolicBundle, theta: QuotDatum):
+    """Raise ShapeMismatch unless theta can be the datum of a subbundle of V:
+    rank 1..n, and at each marked point a jump vector with one nonnegative
+    entry per flag block summing to the rank."""
+    if theta.rank < 1 or theta.rank > V.rank:
         raise ShapeMismatch(f"datum rank {theta.rank} out of range")
     if len(theta.jumps) != len(V.points):
-        raise ShapeMismatch("datum has the wrong number of points")
-    for jumps, fl in zip(theta.jumps, V.flags):
+        raise ShapeMismatch("datum needs one jump vector per marked point")
+    for i, (jumps, fl) in enumerate(zip(theta.jumps, V.flags)):
         if len(jumps) != fl.chain_length:
-            raise ShapeMismatch("datum jump vector length differs from chain")
+            raise ShapeMismatch(
+                f"jumps at point index {i}: expected length {fl.chain_length}"
+            )
         if sum(jumps) != theta.rank or any(b < 0 for b in jumps):
-            raise ShapeMismatch("datum jumps must be nonnegative and sum to rank")
+            raise ShapeMismatch(
+                f"jumps at point index {i}: entries must be >= 0 and sum to the rank"
+            )
+
+
+def quot_points(V: ParabolicBundle, theta: QuotDatum, budget: int = DEFAULT_BUDGET):
+    """All subbundles whose induced invariant equals theta, in key order."""
+    check_quot_datum(V, theta)
+    E = V.bundle
     d = theta.degree
     out = [
         W
@@ -341,14 +352,21 @@ def quot_points(V: ParabolicBundle, theta: QuotDatum, budget: int = DEFAULT_BUDG
     return tuple(sorted(out, key=Subbundle.sort_key))
 
 
-def fil_points(V: ParabolicBundle, alpha, budget: int = DEFAULT_BUDGET):
-    """All nested chains matching the filtration datum, as tuples of steps."""
-    alpha = tuple(alpha)
+def check_fil_datum(V: ParabolicBundle, alpha):
+    """Raise ShapeMismatch unless the ranks of the filtration datum alpha
+    strictly increase and stay below the rank of V (each step is checked by
+    check_quot_datum)."""
     ranks = [theta.rank for theta in alpha]
     if any(b <= a for a, b in zip(ranks, ranks[1:])):
         raise ShapeMismatch("filtration datum ranks must strictly increase")
     if any(r >= V.rank for r in ranks):
         raise ShapeMismatch("filtration datum ranks must stay below the rank")
+
+
+def fil_points(V: ParabolicBundle, alpha, budget: int = DEFAULT_BUDGET):
+    """All nested chains matching the filtration datum, as tuples of steps."""
+    alpha = tuple(alpha)
+    check_fil_datum(V, alpha)
     chains = [()]
     for theta in alpha:
         pts = quot_points(V, theta, budget)
@@ -522,28 +540,28 @@ class FlagFamily:
     weights: tuple
     extension_degree: int = 1
 
+    def __post_init__(self):
+        for jumps, members in zip(self.jumps, self.subspace_polys):
+            check_flag_shape(self.bundle.rank, jumps, members)
+
     def evaluate(self, u: int) -> ParabolicBundle:
+        """The bundle at parameter value u; DegenerateFlagAt when a member
+        drops rank or the members stop being nested there."""
         big, embed = self.bundle.field.extension(self.extension_degree)
         E = SplitBundle(big, self.bundle.twists)
-        n = E.rank
         flags = []
         for jumps, members in zip(self.jumps, self.subspace_polys):
-            spaces = []
-            expect = 0
-            for m, rows in enumerate(members, start=1):
-                expect += jumps[m - 1]
-                ev = tuple(
+            ev = tuple(
+                tuple(
                     tuple(peval(big, pmap(pnorm(e), embed), u) for e in row)
                     for row in rows
                 )
-                red, rk, _ = rref(big, ev) if ev else ((), 0, ())
-                if rk != expect:
-                    raise DegenerateFlagAt([u])
-                spaces.append(red[:rk])
-            for a, b in zip(spaces, spaces[1:]):
-                if not subspace_leq(big, a, b):
-                    raise DegenerateFlagAt([u])
-            flags.append(Flag(tuple(jumps), tuple(spaces)))
+                for rows in members
+            )
+            try:
+                flags.append(flag_make(big, E.rank, jumps, ev))
+            except ShapeMismatch:
+                raise DegenerateFlagAt([u]) from None
         points = tuple(embed(x) for x in self.points)
         return ParabolicBundle(E, points, tuple(flags), self.weights)
 

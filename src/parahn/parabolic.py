@@ -53,24 +53,32 @@ class Flag:
         return self.subspaces[m - 1]
 
 
-def flag_make(field, n: int, jumps, raw_subspaces) -> Flag:
-    """Validate and echelon-normalize a flag for a rank-n fiber."""
-    jumps = tuple(int(a) for a in jumps)
+def check_flag_shape(n: int, jumps, members):
+    """Raise ShapeMismatch unless jumps and members can make a flag in a
+    rank-n fiber: nonnegative jumps summing to n, one member for each of the
+    N - 1 proper chain steps, every vector of length n."""
     if any(a < 0 for a in jumps):
         raise ShapeMismatch("flag jumps must be nonnegative")
     if sum(jumps) != n:
         raise ShapeMismatch(f"flag jumps must sum to the rank {n}")
-    if len(raw_subspaces) != len(jumps) - 1:
+    if len(members) != len(jumps) - 1:
         raise ShapeMismatch(
-            f"expected {len(jumps) - 1} proper chain members, got {len(raw_subspaces)}"
+            f"expected {len(jumps) - 1} proper chain members, got {len(members)}"
         )
+    for m, rows in enumerate(members, start=1):
+        if any(len(r) != n for r in rows):
+            raise ShapeMismatch(f"flag member {m}: vectors must have length {n}")
+
+
+def flag_make(field, n: int, jumps, raw_subspaces) -> Flag:
+    """Validate and echelon-normalize a flag for a rank-n fiber."""
+    jumps = tuple(int(a) for a in jumps)
+    check_flag_shape(n, jumps, raw_subspaces)
     spaces = []
     expect = 0
     for m, rows in enumerate(raw_subspaces, start=1):
         expect += jumps[m - 1]
         rows = tuple(tuple(r) for r in rows)
-        if any(len(r) != n for r in rows):
-            raise ShapeMismatch(f"flag member {m}: vectors must have length {n}")
         red, rk, _ = rref(field, rows) if rows else ((), 0, ())
         if rk != expect:
             raise ShapeMismatch(
@@ -83,13 +91,17 @@ def flag_make(field, n: int, jumps, raw_subspaces) -> Flag:
     return Flag(jumps, tuple(spaces))
 
 
-def _check_weights(weights):
-    for i, lam in enumerate(weights):
-        for w in lam:
-            if not (Fraction(0) < w < Fraction(1)):
-                raise BadWeights(f"weight {w} at point index {i} outside (0, 1)")
-        if any(a >= b for a, b in zip(lam, lam[1:])):
-            raise BadWeights(f"weights at point index {i} not strictly increasing")
+def check_weights(jumps, lam):
+    """Raise BadWeights unless lam weights a flag with these jumps at one
+    marked point: one weight per chain block, strictly increasing inside
+    (0, 1)."""
+    if len(lam) != len(jumps):
+        raise BadWeights(f"{len(lam)} weights for a flag of chain length {len(jumps)}")
+    for w in lam:
+        if not 0 < w < 1:
+            raise BadWeights(f"weight {w} outside (0, 1)")
+    if any(a >= b for a, b in zip(lam, lam[1:])):
+        raise BadWeights("weights must strictly increase")
 
 
 @dataclass(frozen=True)
@@ -102,18 +114,13 @@ class ParabolicBundle:
     weights: tuple  # per point: strictly increasing Fractions in (0, 1)
 
     def __post_init__(self):
-        n = self.bundle.rank
         if not (len(self.points) == len(self.flags) == len(self.weights)):
             raise ShapeMismatch("points, flags and weights must align")
         if len(set(self.points)) != len(self.points):
             raise ShapeMismatch("marked points must be distinct")
         for fl, lam in zip(self.flags, self.weights):
-            if len(lam) != fl.chain_length:
-                raise ShapeMismatch("weight chain length differs from flag's")
-        _check_weights(self.weights)
-        for fl in self.flags:
-            if sum(fl.jumps) != n:
-                raise ShapeMismatch("flag jumps must sum to the rank")
+            check_flag_shape(self.rank, fl.jumps, fl.subspaces)
+            check_weights(fl.jumps, lam)
 
     @property
     def field(self):

@@ -8,17 +8,37 @@ graded filtration, a flag family, or a second bundle shape for Hom.
 Field elements travel as decimal strings over prime fields and as low-to-high
 coefficient arrays over proper extensions; polynomial coefficients use the
 bare integer codes; rationals are always reduced "a/b" strings.
+
+This module checks the JSON shape only: types (an integer is never a
+boolean), required keys and vector lengths, raising SchemaError with the path.
+Every other input rule lives once in the engine and is called here through
+`_at`, which re-raises its error as ConsistencyError("<path>: <message>"):
+field_make and GF.extension (field, extension degree), SplitBundle (twists),
+flag_make and check_flag_shape (flags; FlagFamily calls the latter),
+check_weights (also called by ParabolicBundle and theta.is_admissible),
+ParabolicBundle (distinct points, one weight vector and flag each),
+make_subbundle, and hn.check_quot_datum / hn.check_fil_datum (also called by
+quot_points / fil_points).  parse_datum is the one parser of dominance data,
+for the datum block and --datum alike; parse_elem keeps elements in [0, q).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ConsistencyError, ParahnError, ParseError, SchemaError
-from .gf import GF, field_make, is_prime
-from .hn import FlagFamily, HNFiltration
-from .parabolic import Flag, ParabolicBundle, QuotDatum, flag_make
+from .gf import GF, field_make
+from .hn import FlagFamily, HNFiltration, check_fil_datum, check_quot_datum
+from .parabolic import (
+    Flag,
+    ParabolicBundle,
+    QuotDatum,
+    check_flag_shape,
+    check_weights,
+    flag_make,
+)
 from .poly import pnorm
 from .rat import rat_parse, rat_str
 from .sheaves import SplitBundle, Subbundle, make_subbundle
@@ -33,6 +53,43 @@ class BundleSpec:
     family: FlagFamily | None = None
     family_points: tuple | None = None
     hom: ParabolicBundle | None = None
+
+
+# -- shape checks ----------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _at(path: str, fn, *args):
+    """fn(*args), with an engine error re-raised as a ConsistencyError at path."""
+    try:
+        return fn(*args)
+    except ParahnError as exc:
+        raise ConsistencyError(f"{path}: {exc}") from exc
+
+
+def _expect(doc, key, kind, path, default=_REQUIRED):
+    """doc[key] of JSON type kind, where doc is the object at path ("" for the
+    root); a missing key gives default, or a SchemaError when required."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path or 'document root'}: expected an object")
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing required field")
+        return default
+    val = doc[key]
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise SchemaError(f"{where}: wrong type, expected {kind.__name__}")
+    return val
+
+
+def _ints(vals, path: str) -> tuple:
+    if not isinstance(vals, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in vals
+    ):
+        raise SchemaError(f"{path}: expected a list of integers")
+    return tuple(vals)
 
 
 # -- element level -------------------------------------------------------------
@@ -89,113 +146,85 @@ def parse_rat_list(raw, path: str):
     return tuple(rat_parse(x) for x in raw)
 
 
+def parse_datum(items, n: int, path: str):
+    """A dominance datum: n nonincreasing rationals (the datum block, --datum)."""
+    P = tuple(rat_parse(x) for x in items)
+    if len(P) != n:
+        raise ConsistencyError(f"{path}: length must equal the rank {n}")
+    if any(a < b for a, b in zip(P, P[1:])):
+        raise ConsistencyError(f"{path}: entries must be nonincreasing")
+    return P
+
+
 # -- bundle level ----------------------------------------------------------------
 
 
-def _expect(doc, key, kind, path):
-    if key not in doc:
-        raise SchemaError(f"{path}{key}: missing required field")
-    val = doc[key]
-    if not isinstance(val, kind):
-        raise SchemaError(f"{path}{key}: wrong type, expected {kind.__name__}")
-    return val
-
-
 def parse_field(doc, path="field") -> GF:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object with p and k")
-    p = _expect(doc, "p", int, f"{path}.")
-    k = doc.get("k", 1)
-    if not isinstance(k, int):
-        raise SchemaError(f"{path}.k: expected an integer")
-    if not is_prime(p):
-        raise ConsistencyError(f"{path}.p: {p} is not prime")
-    if k < 1:
-        raise ConsistencyError(f"{path}.k: must be >= 1")
-    return field_make(p, k)
+    p = _expect(doc, "p", int, path)
+    k = _expect(doc, "k", int, path, 1)
+    return _at(path, field_make, p, k)
 
 
-def parse_flag(F: GF, n: int, doc, path: str) -> Flag:
-    jumps = _expect(doc, "jumps", list, f"{path}.")
-    subspaces = _expect(doc, "subspaces", list, f"{path}.")
-    rows_parsed = []
-    for m, rows in enumerate(subspaces, start=1):
+def _members(raw, n: int, path: str, entry) -> tuple:
+    """Flag members at path: lists of length-n rows, each entry parsed by
+    entry(raw, path)."""
+    out = []
+    for m, rows in enumerate(raw):
+        where = f"{path}[{m}]"
         if not isinstance(rows, list):
-            raise SchemaError(f"{path}.subspaces[{m - 1}]: expected a list of rows")
+            raise SchemaError(f"{where}: expected a list of rows")
         member = []
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(
-                    f"{path}.subspaces[{m - 1}][{i}]: expected a length-{n} vector"
-                )
+                raise SchemaError(f"{where}[{i}]: expected a length-{n} vector")
             member.append(
-                tuple(
-                    parse_elem(F, c, f"{path}.subspaces[{m - 1}][{i}][{j}]")
-                    for j, c in enumerate(row)
-                )
+                tuple(entry(c, f"{where}[{i}][{j}]") for j, c in enumerate(row))
             )
-        rows_parsed.append(tuple(member))
-    try:
-        return flag_make(F, n, tuple(jumps), tuple(rows_parsed))
-    except ParahnError as exc:
-        raise ConsistencyError(f"{path}: {exc}") from exc
+        out.append(tuple(member))
+    return tuple(out)
+
+
+def parse_flag(F: GF, n: int, doc, path: str) -> Flag:
+    jumps = _ints(_expect(doc, "jumps", list, path), f"{path}.jumps")
+    members = _members(
+        _expect(doc, "subspaces", list, path), n, f"{path}.subspaces",
+        partial(parse_elem, F),
+    )
+    return _at(path, flag_make, F, n, jumps, members)
+
+
+def _split_bundle(F: GF, doc, path: str) -> SplitBundle:
+    where = f"{path}.splitting_type" if path else "splitting_type"
+    twists = _ints(_expect(doc, "splitting_type", list, path), where)
+    if not twists:
+        raise SchemaError(f"{where}: expected a nonempty list of integers")
+    return _at(where, SplitBundle, F, twists)
 
 
 def parse_bundle(doc) -> ParabolicBundle:
-    if not isinstance(doc, dict):
-        raise SchemaError("document root must be an object")
     F = parse_field(_expect(doc, "field", dict, ""))
-    twists = _expect(doc, "splitting_type", list, "")
-    if not twists or not all(isinstance(a, int) for a in twists):
-        raise SchemaError("splitting_type: expected a nonempty list of integers")
-    if any(a < b for a, b in zip(twists, twists[1:])):
-        raise ConsistencyError("splitting_type: twists must be nonincreasing")
-    E = SplitBundle(F, tuple(twists))
-    n = E.rank
-    raw_points = doc.get("points", [])
+    E = _split_bundle(F, doc, "")
     points = tuple(
-        parse_elem(F, x, f"points[{i}]") for i, x in enumerate(raw_points)
+        parse_elem(F, x, f"points[{i}]")
+        for i, x in enumerate(_expect(doc, "points", list, "", []))
     )
-    if len(set(points)) != len(points):
-        raise ConsistencyError("points: marked points must be distinct")
-    raw_weights = doc.get("weights", [])
-    raw_flags = doc.get("flags", [])
-    if not (len(points) == len(raw_weights) == len(raw_flags)):
-        raise ConsistencyError(
-            "points/weights/flags: the three lists must have equal length"
-        )
-    weights = []
-    for i, lam in enumerate(raw_weights):
-        lam = parse_rat_list(lam, f"weights[{i}]")
-        if any(not (0 < w < 1) for w in lam):
-            raise ConsistencyError(f"weights[{i}]: weights must lie in (0, 1)")
-        if any(a >= b for a, b in zip(lam, lam[1:])):
-            raise ConsistencyError(f"weights[{i}]: weights must strictly increase")
-        weights.append(lam)
+    weights = tuple(
+        parse_rat_list(lam, f"weights[{i}]")
+        for i, lam in enumerate(_expect(doc, "weights", list, "", []))
+    )
     flags = tuple(
-        parse_flag(F, n, fl, f"flags[{i}]") for i, fl in enumerate(raw_flags)
+        parse_flag(F, E.rank, fl, f"flags[{i}]")
+        for i, fl in enumerate(_expect(doc, "flags", list, "", []))
     )
     for i, (fl, lam) in enumerate(zip(flags, weights)):
-        if fl.chain_length != len(lam):
-            raise ConsistencyError(
-                f"flags[{i}]: chain length {fl.chain_length} differs "
-                f"from weights[{i}] length {len(lam)}"
-            )
-    try:
-        return ParabolicBundle(E, points, flags, tuple(weights))
-    except ParahnError as exc:
-        raise ConsistencyError(str(exc)) from exc
+        _at(f"weights[{i}]", check_weights, fl.jumps, lam)
+    return _at("points", ParabolicBundle, E, points, flags, weights)
 
 
 def parse_subbundle(E: SplitBundle, doc, path: str) -> Subbundle:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
-    twists = _expect(doc, "col_twists", list, f"{path}.")
-    matrix = _expect(doc, "matrix", list, f"{path}.")
-    if len(matrix) != E.rank:
-        raise ConsistencyError(f"{path}.matrix: expected {E.rank} rows")
+    twists = _ints(_expect(doc, "col_twists", list, path), f"{path}.col_twists")
     mat = []
-    for j, row in enumerate(matrix):
+    for j, row in enumerate(_expect(doc, "matrix", list, path)):
         if not isinstance(row, list) or len(row) != len(twists):
             raise SchemaError(f"{path}.matrix[{j}]: expected {len(twists)} entries")
         mat.append(
@@ -204,76 +233,40 @@ def parse_subbundle(E: SplitBundle, doc, path: str) -> Subbundle:
                 for k, e in enumerate(row)
             )
         )
-    try:
-        return make_subbundle(E, tuple(twists), tuple(mat))
-    except ParahnError as exc:
-        raise ConsistencyError(f"{path}: {exc}") from exc
+    return _at(path, make_subbundle, E, twists, tuple(mat))
 
 
 def parse_quot_datum(V: ParabolicBundle, doc, path: str, jumps_required=True):
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
-    rank = _expect(doc, "rank", int, f"{path}.")
-    degree = _expect(doc, "degree", int, f"{path}.")
-    raw_jumps = doc.get("jumps")
-    if raw_jumps is None:
-        if jumps_required:
-            raise SchemaError(f"{path}.jumps: missing required field")
+    rank = _expect(doc, "rank", int, path)
+    degree = _expect(doc, "degree", int, path)
+    raw = _expect(doc, "jumps", list, path, _REQUIRED if jumps_required else None)
+    if raw is None:
         return rank, degree, None
-    if not isinstance(raw_jumps, list) or len(raw_jumps) != len(V.points):
-        raise ConsistencyError(
-            f"{path}.jumps: expected one jump vector per marked point"
-        )
-    jumps = []
-    for i, (vec, fl) in enumerate(zip(raw_jumps, V.flags)):
-        if not isinstance(vec, list) or len(vec) != fl.chain_length:
-            raise ConsistencyError(
-                f"{path}.jumps[{i}]: expected length {fl.chain_length}"
-            )
-        if any(not isinstance(b, int) or b < 0 for b in vec):
-            raise ConsistencyError(f"{path}.jumps[{i}]: entries must be >= 0")
-        if sum(vec) != rank:
-            raise ConsistencyError(f"{path}.jumps[{i}]: entries must sum to rank")
-        jumps.append(tuple(vec))
-    return rank, degree, tuple(jumps)
+    jumps = tuple(_ints(vec, f"{path}.jumps[{i}]") for i, vec in enumerate(raw))
+    _at(path, check_quot_datum, V, QuotDatum(rank, degree, jumps))
+    return rank, degree, jumps
 
 
 def parse_family(base: ParabolicBundle, doc, path="family"):
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected an object")
     F = base.field
     n = base.rank
-    ext = doc.get("extension_degree", 1)
-    if not isinstance(ext, int) or ext < 1:
-        raise ConsistencyError(f"{path}.extension_degree: must be a positive integer")
-    raw_flags = _expect(doc, "flags", list, f"{path}.")
+    ext = _expect(doc, "extension_degree", int, path, 1)
+    big, _ = _at(f"{path}.extension_degree", F.extension, ext)
+    raw_flags = _expect(doc, "flags", list, path)
     if len(raw_flags) != len(base.points):
         raise ConsistencyError(f"{path}.flags: expected one flag per marked point")
     jumps_all = []
     polys_all = []
     for i, fl in enumerate(raw_flags):
-        jumps = _expect(fl, "jumps", list, f"{path}.flags[{i}].")
-        subspaces = _expect(fl, "subspaces", list, f"{path}.flags[{i}].")
-        members = []
-        for m, rows in enumerate(subspaces):
-            member = []
-            for r, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != n:
-                    raise SchemaError(
-                        f"{path}.flags[{i}].subspaces[{m}][{r}]: expected "
-                        f"a length-{n} vector of polynomials"
-                    )
-                member.append(
-                    tuple(
-                        parse_poly(
-                            F, e, f"{path}.flags[{i}].subspaces[{m}][{r}][{j}]"
-                        )
-                        for j, e in enumerate(row)
-                    )
-                )
-            members.append(tuple(member))
-        jumps_all.append(tuple(jumps))
-        polys_all.append(tuple(members))
+        where = f"{path}.flags[{i}]"
+        jumps = _ints(_expect(fl, "jumps", list, where), f"{where}.jumps")
+        members = _members(
+            _expect(fl, "subspaces", list, where), n, f"{where}.subspaces",
+            partial(parse_poly, F),
+        )
+        _at(where, check_flag_shape, n, jumps, members)
+        jumps_all.append(jumps)
+        polys_all.append(members)
     fam = FlagFamily(
         bundle=base.bundle,
         points=base.points,
@@ -282,12 +275,9 @@ def parse_family(base: ParabolicBundle, doc, path="family"):
         weights=base.weights,
         extension_degree=ext,
     )
+    raw = _expect(doc, "evaluate_at", list, path, None)
     eval_pts = None
-    if "evaluate_at" in doc:
-        big, _ = F.extension(ext)
-        raw = doc["evaluate_at"]
-        if not isinstance(raw, list):
-            raise SchemaError(f"{path}.evaluate_at: expected a list")
+    if raw is not None:
         eval_pts = tuple(
             parse_elem(big, x, f"{path}.evaluate_at[{i}]") for i, x in enumerate(raw)
         )
@@ -302,44 +292,29 @@ def parse_spec(text: str) -> BundleSpec:
     V = parse_bundle(doc)
     datum = None
     if "datum" in doc:
-        datum = parse_rat_list(doc["datum"], "datum")
-        if len(datum) != V.rank:
-            raise ConsistencyError("datum: length must equal the rank")
-        if any(a < b for a, b in zip(datum, datum[1:])):
-            raise ConsistencyError("datum: entries must be nonincreasing")
+        datum = parse_datum(_expect(doc, "datum", list, ""), V.rank, "datum")
     quot = None
     if "quot" in doc:
         rank, degree, jumps = parse_quot_datum(
             V, doc["quot"], "quot", jumps_required=False
         )
-        mct = doc["quot"].get("min_col_twist")
-        if mct is not None and not isinstance(mct, int):
-            raise SchemaError("quot.min_col_twist: expected an integer")
+        mct = _expect(doc["quot"], "min_col_twist", int, "quot", None)
         quot = {"rank": rank, "degree": degree, "jumps": jumps, "min_col_twist": mct}
     fil = None
     if "fil" in doc:
-        if not isinstance(doc["fil"], list):
-            raise SchemaError("fil: expected a list of Quot data")
-        parsed = []
-        for i, item in enumerate(doc["fil"]):
-            rank, degree, jumps = parse_quot_datum(V, item, f"fil[{i}]")
-            parsed.append(QuotDatum(rank, degree, jumps))
-        ranks = [t.rank for t in parsed]
-        if any(b <= a for a, b in zip(ranks, ranks[1:])):
-            raise ConsistencyError("fil: ranks must strictly increase")
-        fil = tuple(parsed)
+        fil = tuple(
+            QuotDatum(*parse_quot_datum(V, item, f"fil[{i}]"))
+            for i, item in enumerate(_expect(doc, "fil", list, ""))
+        )
+        _at("fil", check_fil_datum, V, fil)
     theta = None
     if "theta" in doc:
-        if not isinstance(doc["theta"], list):
-            raise SchemaError("theta: expected a list of weighted subbundles")
         steps = []
-        for i, item in enumerate(doc["theta"]):
-            if not isinstance(item, dict):
-                raise SchemaError(f"theta[{i}]: expected an object")
-            w = _expect(item, "weight", int, f"theta[{i}].")
+        for i, item in enumerate(_expect(doc, "theta", list, "")):
+            where = f"theta[{i}]"
+            w = _expect(item, "weight", int, where)
             W = parse_subbundle(
-                V.bundle, _expect(item, "subbundle", dict, f"theta[{i}]."),
-                f"theta[{i}].subbundle",
+                V.bundle, _expect(item, "subbundle", dict, where), f"{where}.subbundle"
             )
             steps.append((w, W))
         theta = tuple(steps)
@@ -349,19 +324,12 @@ def parse_spec(text: str) -> BundleSpec:
     hom = None
     if "hom" in doc:
         hdoc = doc["hom"]
-        if not isinstance(hdoc, dict):
-            raise SchemaError("hom: expected an object")
-        merged = {
-            "field": doc["field"],
-            "splitting_type": _expect(hdoc, "splitting_type", list, "hom."),
-            "points": doc.get("points", []),
-            "weights": doc.get("weights", []),
-            "flags": _expect(hdoc, "flags", list, "hom."),
-        }
-        try:
-            hom = parse_bundle(merged)
-        except ParahnError as exc:
-            raise ConsistencyError(f"hom: {exc}") from exc
+        E = _split_bundle(V.field, hdoc, "hom")
+        flags = tuple(
+            parse_flag(V.field, E.rank, fl, f"hom.flags[{i}]")
+            for i, fl in enumerate(_expect(hdoc, "flags", list, "hom"))
+        )
+        hom = _at("hom", ParabolicBundle, E, V.points, flags, V.weights)
     return BundleSpec(
         bundle=V,
         datum=datum,

@@ -12,8 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadIndex, BadWeights, InvalidFiltration, MultiplePoints
-from .parabolic import ParabolicBundle, induced_quot_datum, parabolic_degree
+from .errors import BadIndex, InvalidFiltration, MultiplePoints
+from .parabolic import (
+    ParabolicBundle,
+    check_weights,
+    induced_quot_datum,
+    parabolic_degree,
+)
 from .rat import rat_str
 from .sheaves import Subbundle
 
@@ -142,16 +147,13 @@ class WeightRegion:
 
 
 def is_admissible(n: int, jumps, weights):
-    """Check the paired gap inequalities; the region is returned regardless."""
-    N = len(jumps)
-    if len(weights) != N:
-        raise BadWeights("jumps and weights must have equal length")
+    """Check the paired gap inequalities; the region is returned regardless.
+
+    The weights must fit the jumps (parabolic.check_weights raises BadWeights).
+    """
     lam = [Fraction(w) for w in weights]
-    for w in lam:
-        if not (0 < w < 1):
-            raise BadWeights(f"weight {w} outside (0, 1)")
-    if any(a >= b for a, b in zip(lam, lam[1:])):
-        raise BadWeights("weights must strictly increase")
+    check_weights(jumps, lam)
+    N = len(jumps)
     a = list(jumps)
     constraints = []
     ok = True

@@ -70,6 +70,161 @@ def test_parse_rejects_missing_field_block():
     assert "field" in str(exc.value)
 
 
+# -- input rules ---------------------------------------------------------------
+
+FAMILY_OK = {"jumps": [1, 1], "subspaces": [[[[1], []]]]}
+THETA_OK = {"weight": 1, "subbundle": {"col_twists": [0], "matrix": [[[1]], [[]]]}}
+FIL_OK = {"rank": 1, "degree": 0, "jumps": [[1, 0]]}
+
+# (command, document, extra flags, JSON path the message must name); one row
+# per input rule, each reported as a ConsistencyError.
+RULES = {
+    "field-p-prime": ("hn", dict(R1_DOC, field={"p": 4}), (), "field"),
+    "field-k-positive": ("hn", dict(R1_DOC, field={"p": 3, "k": 0}), (), "field"),
+    "twists-nonincreasing": ("hn", dict(R1_DOC, splitting_type=[0, 1]), (), "splitting_type"),
+    "element-in-field": ("hn", dict(R1_DOC, points=["5"]), (), "points[0]"),
+    "points-distinct": ("hn", dict(R2_DOC, points=["0", "0"]), (), "points"),
+    "lists-aligned": ("hn", dict(R2_DOC, weights=[["1/4", "3/4"]]), (), "points"),
+    "weights-in-range": ("hn", dict(R1_DOC, weights=[["1/4", "5/4"]]), (), "weights[0]"),
+    "weights-increase": ("hn", dict(R1_DOC, weights=[["3/4", "1/4"]]), (), "weights[0]"),
+    "weights-chain-length": ("hn", dict(R1_DOC, weights=[["1/4", "1/2", "3/4"]]), (), "weights[0]"),
+    "flag-jumps-sum": (
+        "hn",
+        dict(R1_DOC, flags=[{"jumps": [2, 1], "subspaces": [[["1", "0"], ["0", "1"]]]}]),
+        (),
+        "flags[0]",
+    ),
+    "flag-member-dimension": (
+        "hn",
+        dict(R1_DOC, flags=[{"jumps": [1, 1], "subspaces": [[["0", "0"]]]}]),
+        (),
+        "flags[0]",
+    ),
+    "flag-nesting": (
+        "hn",
+        dict(
+            R1_DOC,
+            splitting_type=[0, 0, 0],
+            weights=[["1/4", "1/2", "3/4"]],
+            flags=[{"jumps": [1, 1, 1], "subspaces": [[["1", "0", "0"]], [["0", "1", "0"], ["0", "0", "1"]]]}],
+        ),
+        (),
+        "flags[0]",
+    ),
+    "quot-rank-range": (
+        "quot-points", dict(R1_DOC, quot={"rank": 3, "degree": 0, "jumps": [[2, 1]]}), (), "quot"
+    ),
+    "quot-jumps-per-point": (
+        "quot-points", dict(R1_DOC, quot={"rank": 1, "degree": 0, "jumps": []}), (), "quot"
+    ),
+    "quot-jumps-length": (
+        "quot-points", dict(R1_DOC, quot={"rank": 1, "degree": 0, "jumps": [[1]]}), (), "quot"
+    ),
+    "quot-jumps-nonnegative": (
+        "quot-points", dict(R1_DOC, quot={"rank": 1, "degree": 0, "jumps": [[2, -1]]}), (), "quot"
+    ),
+    "quot-jumps-sum": (
+        "quot-points", dict(R1_DOC, quot={"rank": 1, "degree": 0, "jumps": [[1, 1]]}), (), "quot"
+    ),
+    "fil-item-jumps": (
+        "fil-points", dict(R1_DOC, fil=[{"rank": 1, "degree": 0, "jumps": [[1, 1]]}]), (), "fil[0]"
+    ),
+    "fil-ranks-increase": ("fil-points", dict(R1_DOC, fil=[FIL_OK, FIL_OK]), (), "fil"),
+    "fil-ranks-below-rank": (
+        "fil-points", dict(R1_DOC, fil=[{"rank": 2, "degree": 0, "jumps": [[1, 1]]}]), (), "fil"
+    ),
+    "datum-length": ("strata", dict(R1_DOC, datum=["1/2"]), (), "datum"),
+    "datum-order": ("strata", dict(R1_DOC, datum=["1/4", "3/4"]), (), "datum"),
+    "datum-flag-length": ("strata", R1_DOC, ("--datum", "1/2"), "--datum"),
+    "datum-flag-order": ("strata", R1_DOC, ("--datum", "1/4,3/4"), "--datum"),
+    "family-extension-degree": (
+        "family", dict(R1_DOC, family={"extension_degree": 0, "flags": [FAMILY_OK]}), (),
+        "family.extension_degree",
+    ),
+    "family-flag-per-point": (
+        "family", dict(R1_DOC, family={"flags": [FAMILY_OK, FAMILY_OK]}), (), "family.flags"
+    ),
+    "family-jumps-sum": (
+        "family",
+        dict(R1_DOC, family={"flags": [{"jumps": [2, 1], "subspaces": [[[[1], []]]]}]}),
+        (),
+        "family.flags[0]",
+    ),
+    "family-member-count": (
+        "family",
+        dict(R1_DOC, family={"flags": [{"jumps": [1, 1], "subspaces": [[[[1], []]], [[[1], []]]]}]}),
+        (),
+        "family.flags[0]",
+    ),
+    "hom-twists-nonincreasing": (
+        "hom", dict(R1_DOC, hom={"splitting_type": [0, 1], "flags": R1_DOC["flags"]}), (), "hom"
+    ),
+    "hom-flag-per-point": ("hom", dict(R1_DOC, hom={"splitting_type": [0, 0], "flags": []}), (), "hom"),
+    "theta-subbundle": (
+        "theta-weight",
+        dict(R1_DOC, theta=[{"weight": 1, "subbundle": {"col_twists": [1], "matrix": [[[1]], [[]]]}}]),
+        (),
+        "theta[0].subbundle",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_input_rule_reports_its_path(tmp_path, rule):
+    cmd, doc, extra, path = RULES[rule]
+    report, code = run(tmp_path, cmd, doc, *extra)
+    assert code == 1
+    assert report["error"]["type"] == "ConsistencyError"
+    assert path in report["error"]["message"]
+
+
+# Documents whose JSON shape is wrong, as (command, document, JSON path): each
+# is a SchemaError naming its path.
+MALFORMED = {
+    "flags": ("hn", dict(R1_DOC, flags=[5]), "flags[0]"),
+    "hom.flags": ("hom", dict(R1_DOC, hom={"splitting_type": [0, 0], "flags": [5]}), "hom.flags[0]"),
+    "family.flags": ("family", dict(R1_DOC, family={"flags": [5]}), "family.flags[0]"),
+    "family.subspaces": (
+        "family",
+        dict(R1_DOC, family={"flags": [{"jumps": [1, 1], "subspaces": [5]}]}),
+        "family.flags[0].subspaces[0]",
+    ),
+    "theta.col_twists": (
+        "theta-weight",
+        dict(R1_DOC, theta=[dict(THETA_OK, subbundle={"col_twists": ["a"], "matrix": [[[1]], [[]]]})]),
+        "theta[0].subbundle.col_twists",
+    ),
+}
+
+# JSON booleans where the schema asks for integers.
+BOOLEAN_INTS = {
+    "bool:quot.rank": ("enum-sub", dict(R1_DOC, quot={"rank": True, "degree": 0}), "quot.rank"),
+    "bool:splitting_type": ("hn", dict(R1_DOC, splitting_type=[True, 0]), "splitting_type"),
+    "bool:flags.jumps": (
+        "hn",
+        dict(R1_DOC, flags=[{"jumps": [True, True], "subspaces": [[["1", "0"]]]}]),
+        "flags[0].jumps",
+    ),
+    "bool:theta.weight": ("theta-weight", dict(R1_DOC, theta=[dict(THETA_OK, weight=True)]), "theta[0].weight"),
+    "bool:theta.col_twists": (
+        "theta-weight",
+        dict(R1_DOC, theta=[dict(THETA_OK, subbundle={"col_twists": [False], "matrix": [[[1]], [[]]]})]),
+        "theta[0].subbundle.col_twists",
+    ),
+}
+
+SHAPE_ERRORS = {**MALFORMED, **BOOLEAN_INTS}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_malformed_shape_is_a_schema_error(tmp_path, case):
+    cmd, doc, path = SHAPE_ERRORS[case]
+    report, code = run(tmp_path, cmd, doc)
+    assert code == 1
+    assert report["error"]["type"] == "SchemaError"
+    assert report["error"]["message"].startswith(path + ":")
+
+
 # -- commands ----------------------------------------------------------------
 
 

@@ -463,6 +463,24 @@ def test_family_scan_reports_degenerate_points():
     assert exc.value.points == [0]
 
 
+@pytest.mark.parametrize(
+    "jumps, members",
+    [((2, 1), ((((1,), ()),),)), ((1, 1), ((((1,), ()),), (((1,), ()),)))],
+    ids=["jumps-sum", "member-count"],
+)
+def test_family_shape_checked_when_built(jumps, members):
+    from parahn.errors import ShapeMismatch
+
+    with pytest.raises(ShapeMismatch):
+        FlagFamily(
+            bundle=SplitBundle(F3, (0, 0)),
+            points=(0,),
+            jumps=(jumps,),
+            subspace_polys=(members,),
+            weights=((Fraction(1, 4), Fraction(3, 4)),),
+        )
+
+
 def test_constant_family_is_constant():
     E = SplitBundle(F3, (0, 0))
     fam = FlagFamily(

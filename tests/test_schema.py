@@ -1,0 +1,45 @@
+"""The published JSON schema agrees with the parser: the README example and
+the CLI fixtures validate and parse, and every document with a malformed
+shape is rejected by both."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+jsonschema = pytest.importorskip("jsonschema")
+
+from parahn.errors import ParahnError
+from parahn.specio import parse_spec
+
+from test_cli import R1_DOC, R2_DOC, SHAPE_ERRORS
+
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "bundle-spec.schema.json").read_text())
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
+def readme_example():
+    text = (ROOT / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+def test_schema_is_valid():
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "doc", [readme_example(), R1_DOC, R2_DOC], ids=["readme", "R1_DOC", "R2_DOC"]
+)
+def test_valid_documents_validate_and_parse(doc):
+    VALIDATOR.validate(doc)
+    parse_spec(json.dumps(doc))
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))
+def test_malformed_shape_rejected_by_schema_and_parser(case):
+    _, doc, _ = SHAPE_ERRORS[case]
+    assert not VALIDATOR.is_valid(doc)
+    with pytest.raises(ParahnError):
+        parse_spec(json.dumps(doc))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from parahn.errors import BadIndex, InvalidFiltration, MultiplePoints
+from parahn.errors import BadIndex, BadWeights, InvalidFiltration, MultiplePoints
 from parahn.hn import hn_filtration, is_semistable, max_destabilizing
 from parahn.sheaves import enumerate_subbundles, full_subbundle, make_subbundle
 from parahn.theta import (
@@ -169,6 +169,16 @@ def test_admissible_region_rank_two():
     bounds = {rel1: rhs1, rel2: rhs2}
     assert bounds[">="] == Fraction(1, 4)
     assert bounds["<="] == Fraction(3, 4)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [(Fraction(1, 4),), (Fraction(0), Fraction(1, 2)), (Fraction(3, 4), Fraction(1, 4))],
+    ids=["chain-length", "range", "order"],
+)
+def test_admissibility_rejects_bad_weights(lam):
+    with pytest.raises(BadWeights):
+        is_admissible(2, (1, 1), lam)
 
 
 def test_admissibility_decisions():
