@@ -71,7 +71,8 @@ def _require(value, name):
 
 def _get_datum(spec: BundleSpec, args):
     if args.datum:
-        return parse_datum(args.datum.split(","), spec.bundle.rank, "--datum")
+        items = [x.strip() for x in args.datum.split(",")]
+        return parse_datum(items, spec.bundle.rank, "--datum")
     return _require(spec.datum, "datum")
 
 

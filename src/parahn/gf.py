@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InvalidDegree, NotPrime
+from .errors import FieldMismatch, InvalidDegree, NotPrime
 
 _TABLE_MAX = 256  # fields up to this order get dense op tables
 
@@ -191,6 +191,11 @@ class GF:
 
     def elements(self):
         return range(self.q)
+
+    def check_element(self, a: int):
+        """Raise FieldMismatch unless a is an element code, in [0, q)."""
+        if not 0 <= a < self.q:
+            raise FieldMismatch(f"element {a} outside [0, {self.q})")
 
     # -- arithmetic --------------------------------------------------------
 

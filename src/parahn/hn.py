@@ -1,17 +1,20 @@
-"""Slope stratification engine: maximal destabilizers, canonical filtrations,
-dominance comparisons, point counts and finiteness bound sets.
+"""Slope stratification engine: canonical (HN) filtrations and their first
+steps, dominance comparisons, point counts and finiteness bound sets.
 
 Everything reduces to exhaustive subbundle enumeration over windows whose
 completeness follows from two bounds: a rank-r subbundle of a split bundle
 has sheaf degree at most the sum of the r largest twists, and the parabolic
-correction at each marked point lies strictly between 0 and the rank.
-Enumerations are cached per (field, twists, rank, degree) since they do not
-depend on flags or weights.
+correction at each marked point lies strictly between 0 and the rank.  The
+HN filtration is read off the HN polygon, the upper concave envelope of
+(rank, parabolic degree) over all subbundles, found in one pass over the
+windows that can reach it (see hn_filtration).  Enumerations are cached per
+(field, twists, rank, degree) since they do not depend on flags or weights.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +32,7 @@ from .parabolic import (
     check_flag_shape,
     degree_from_datum,
     flag_make,
+    full_datum,
     induced_quot_datum,
     parabolic_degree,
 )
@@ -65,16 +69,17 @@ def _min_col_twist(E: SplitBundle, r: int, d: int) -> int:
     return d - (r - 1) * max(E.twists)
 
 
-def _window_floor(bound: Fraction, npts: int, strict: bool) -> int:
-    """Least sheaf degree d compatible with parabolic degree >= / > bound.
+def _window_floor(height: Fraction, r: int, npts: int) -> int:
+    """Least sheaf degree of a rank-r window that can hold a subbundle of
+    parabolic degree at least height.
 
     The marked-point correction lies strictly inside (0, r*npts), so with at
-    least one point even a non-strict slope target forces d strictly above
-    bound - r*npts (already folded into `bound` by the caller).
+    least one point the sheaf degree must exceed height - r*npts; with none
+    it must reach height.
     """
-    if strict or npts > 0:
-        return floor_frac(bound) + 1
-    return ceil_frac(bound)
+    if npts > 0:
+        return floor_frac(height - r * npts) + 1
+    return ceil_frac(height)
 
 
 @dataclass(frozen=True)
@@ -116,134 +121,100 @@ def hn_leq(P, Q) -> bool:
     return True
 
 
-def max_destabilizing(
-    V: ParabolicBundle, U: Subbundle | None = None, budget: int = DEFAULT_BUDGET
-) -> Subbundle:
-    """The subbundle strictly above U with maximal relative slope, then rank.
-
-    The search runs over ranks above rank(U) and a sheaf-degree window kept
-    complete for the current best slope; the whole bundle seeds the search, so
-    a semistable bundle returns itself.  Uniqueness of the maximizer and its
-    containment of every same-slope candidate are asserted on every call.
-    """
-    E = V.bundle
-    n = E.rank
-    if U is None:
-        U = zero_subbundle(E)
-    rU = U.rank
-    dU = parabolic_degree(V, U)
-    npts = len(V.points)
-    full = full_subbundle(E)
-    best = (parabolic_degree(V) - dU) / (n - rU)
-    hits = [(full, best)]
-    for r in range(rU + 1, n):
-        d = sum(E.twists[:r])
-        while True:
-            lower = _window_floor(best * (r - rU) + dU - r * npts, npts, False)
-            if d < lower:
-                break
-            for W in _enum(E, r, d, _min_col_twist(E, r, d), budget):
-                if not W.contains(U):
-                    continue
-                slope = (degree_from_datum(V, induced_quot_datum(V, W)) - dU) / (
-                    r - rU
-                )
-                if slope >= best:
-                    hits.append((W, slope))
-                    if slope > best:
-                        best = slope
-            d -= 1
-    top = [W for W, s in hits if s == best]
-    max_rank = max(W.rank for W in top)
-    winners = [W for W in top if W.rank == max_rank]
-    unique = {(W.col_twists, W.key) for W in winners}
-    if len(unique) != 1:
-        raise NonUniqueMaximum(
-            f"{len(unique)} distinct maximizers of slope {best} at rank {max_rank}"
-        )
-    winner = winners[0]
-    for W in top:
-        if not winner.contains(W):
-            raise NonUniqueMaximum(
-                "a maximal-slope subbundle escapes the rank-maximal one"
-            )
-    return winner
+def max_destabilizing(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> Subbundle:
+    """The first HN step: the subbundle of maximal slope, then of maximal rank
+    among those; the whole bundle when V is semistable."""
+    return hn_filtration(V, budget).steps[0]
 
 
 _FILT_CACHE: dict = {}
 
 
-def hn_filtration(
-    V: ParabolicBundle, budget: int = DEFAULT_BUDGET, certify: bool = True
-) -> HNFiltration:
-    """Greedy chain of maximal destabilizers; graded pieces certified.
+def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltration:
+    """The HN filtration, read off the HN polygon in one pass over the windows.
+
+    The polygon is the upper concave envelope of the points
+    (rank W, pardeg W) over all subbundles W, with (0, 0) and (n, pardeg V).
+    Ranks 1..n-1 are scanned in turn; at each rank the degree is lowered
+    while the window can still reach the envelope of the points found so
+    far.  That envelope only rises, so every subbundle on the final polygon
+    is scanned, and each one's induced datum and degree is computed once.
+    The steps are the subbundles at the vertices.  Asserted on the polygon,
+    as NonUniqueMaximum: each vertex is attained by exactly one subbundle,
+    and every subbundle on an edge lies between the steps at its two ends
+    (so the steps are nested).
 
     Results are memoized per bundle: every downstream predicate (membership,
     witnesses, semistability) shares one computation.
     """
-    cache_key = (V, budget, certify)
+    cache_key = (V, budget)
     hit = _FILT_CACHE.get(cache_key)
     if hit is not None:
         return hit
     E = V.bundle
     n = E.rank
-    steps = []
-    U = zero_subbundle(E)
-    while U.rank < n:
-        W = max_destabilizing(V, U, budget)
+    npts = len(V.points)
+    top = parabolic_degree(V)
+    best = {0: Fraction(0)}  # rank -> greatest parabolic degree found
+    found = []  # (W, datum, degree) of each subbundle that reached the envelope
+    for r in range(1, n):
+        height = max(h + (top - h) * (r - s) / (n - s) for s, h in best.items())
+        d = sum(E.twists[:r])
+        while d >= _window_floor(height, r, npts):
+            for W in _enum(E, r, d, _min_col_twist(E, r, d), budget):
+                theta = induced_quot_datum(V, W)
+                deg = degree_from_datum(V, theta)
+                if deg >= height:
+                    found.append((W, theta, deg))
+                    best[r] = height = deg
+            d -= 1
+    hull = []  # the polygon's vertices, (0, 0) to (n, top)
+    for p in sorted(best.items()) + [(n, top)]:
+        while len(hull) > 1 and _not_above(hull[-2], hull[-1], p):
+            hull.pop()
+        hull.append(p)
+    ranks = [r for r, _ in hull]
+    last = len(hull) - 1
+    on = []  # (edge, W, datum) of each subbundle on the polygon
+    for W, theta, deg in found:
+        j = bisect_left(ranks, W.rank)
+        (r0, h0), (r1, h1) = hull[j - 1], hull[j]
+        if deg * (r1 - r0) == h0 * (r1 - W.rank) + h1 * (W.rank - r0):
+            on.append((j, W, theta))
+    steps, data = [zero_subbundle(E)], []
+    for j in range(1, last):
+        at = {W.sort_key(): (W, th) for i, W, th in on if i == j and W.rank == ranks[j]}
+        if len(at) != 1:
+            raise NonUniqueMaximum(
+                f"{len(at)} distinct subbundles attain the polygon vertex at "
+                f"rank {ranks[j]}, parabolic degree {hull[j][1]}"
+            )
+        ((W, theta),) = at.values()
         steps.append(W)
-        U = W
-    slopes = []
-    prev = zero_subbundle(E)
-    prev_deg = Fraction(0)
-    for W in steps:
-        deg = parabolic_degree(V, W)
-        slopes.append((deg - prev_deg) / (W.rank - prev.rank))
-        prev, prev_deg = W, deg
-    for a, b in zip(slopes, slopes[1:]):
-        if not a > b:  # pragma: no cover
-            raise NonUniqueMaximum("graded slopes fail to decrease strictly")
-    if certify:
-        _certify_graded(V, steps, slopes, budget)
-    data = tuple(induced_quot_datum(V, W) for W in steps)
-    filt = HNFiltration(V, tuple(steps), data, tuple(slopes))
+        data.append(theta)
+    steps.append(full_subbundle(E))
+    data.append(full_datum(V))
+    # each subbundle on edge j, its upper vertex included, lies between the
+    # steps at the two ends; the zero and the full subbundle need no test
+    for j, W, _ in on:
+        if not W.contains(steps[j - 1]) or not (
+            j == last or W is steps[j] or steps[j].contains(W)
+        ):
+            raise NonUniqueMaximum(
+                f"a subbundle of rank {W.rank} on the polygon escapes the steps "
+                f"at ranks {ranks[j - 1]} and {ranks[j]}"
+            )
+    slopes = tuple(
+        (h1 - h0) / (r1 - r0) for (r0, h0), (r1, h1) in zip(hull, hull[1:])
+    )
+    filt = HNFiltration(V, tuple(steps[1:]), tuple(data), slopes)
     _FILT_CACHE[cache_key] = filt
     return filt
 
 
-def _certify_graded(V, steps, slopes, budget):
-    """Exhaustively confirm each graded piece is semistable.
-
-    Re-enumerates intermediate subbundles U_{j-1} < W < U_j and checks none
-    beats the step slope; a saturated W of the step's own rank contained in
-    the step is the step itself, so those ranks carry no information.
-    """
-    E = V.bundle
-    npts = len(V.points)
-    prev = zero_subbundle(E)
-    prev_deg = Fraction(0)
-    for W_step, sigma in zip(steps, slopes):
-        for r in range(prev.rank + 1, W_step.rank):
-            d = sum(E.twists[:r])
-            while True:
-                lower = _window_floor(
-                    sigma * (r - prev.rank) + prev_deg - r * npts, npts, True
-                )
-                if d < lower:
-                    break
-                for W in _enum(E, r, d, _min_col_twist(E, r, d), budget):
-                    if not (W.contains(prev) and W_step.contains(W)):
-                        continue
-                    slope = (
-                        degree_from_datum(V, induced_quot_datum(V, W)) - prev_deg
-                    ) / (r - prev.rank)
-                    if slope > sigma:  # pragma: no cover
-                        raise NonUniqueMaximum(
-                            "graded piece admits a destabilizing subbundle"
-                        )
-                d -= 1
-        prev = W_step
-        prev_deg = parabolic_degree(V, W_step)
+def _not_above(a, b, c) -> bool:
+    """Whether the point b lies on or below the segment from a to c."""
+    return (b[1] - a[1]) * (c[0] - a[0]) <= (c[1] - a[1]) * (b[0] - a[0])
 
 
 def is_semistable(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> bool:
@@ -324,8 +295,7 @@ def check_quot_datum(V: ParabolicBundle, theta: QuotDatum):
     """Raise ShapeMismatch unless theta can be the datum of a subbundle of V:
     rank 1..n, and at each marked point a jump vector with one nonnegative
     entry per flag block summing to the rank."""
-    if theta.rank < 1 or theta.rank > V.rank:
-        raise ShapeMismatch(f"datum rank {theta.rank} out of range")
+    V.bundle.check_subbundle_rank(theta.rank)
     if len(theta.jumps) != len(V.points):
         raise ShapeMismatch("datum needs one jump vector per marked point")
     for i, (jumps, fl) in enumerate(zip(theta.jumps, V.flags)):

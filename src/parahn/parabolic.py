@@ -79,6 +79,8 @@ def flag_make(field, n: int, jumps, raw_subspaces) -> Flag:
     for m, rows in enumerate(raw_subspaces, start=1):
         expect += jumps[m - 1]
         rows = tuple(tuple(r) for r in rows)
+        for c in sum(rows, ()):
+            field.check_element(c)
         red, rk, _ = rref(field, rows) if rows else ((), 0, ())
         if rk != expect:
             raise ShapeMismatch(
@@ -118,6 +120,8 @@ class ParabolicBundle:
             raise ShapeMismatch("points, flags and weights must align")
         if len(set(self.points)) != len(self.points):
             raise ShapeMismatch("marked points must be distinct")
+        for x in self.points:
+            self.field.check_element(x)
         for fl, lam in zip(self.flags, self.weights):
             check_flag_shape(self.rank, fl.jumps, fl.subspaces)
             check_weights(fl.jumps, lam)
@@ -212,6 +216,11 @@ def induced_quot_datum(V: ParabolicBundle, W: Subbundle) -> QuotDatum:
     return QuotDatum(W.rank, W.degree, tuple(all_jumps))
 
 
+def full_datum(V: ParabolicBundle) -> QuotDatum:
+    """The datum of V itself: its rank, degree and flag jumps."""
+    return QuotDatum(V.rank, V.bundle.degree, tuple(fl.jumps for fl in V.flags))
+
+
 def degree_from_datum(V: ParabolicBundle, theta: QuotDatum) -> Fraction:
     deg = Fraction(theta.degree)
     for lam, jumps in zip(V.weights, theta.jumps):
@@ -222,11 +231,7 @@ def degree_from_datum(V: ParabolicBundle, theta: QuotDatum) -> Fraction:
 def parabolic_degree(V: ParabolicBundle, W: Subbundle | None = None) -> Fraction:
     """Parabolic degree of V, or of a subbundle with its induced structure."""
     if W is None:
-        deg = Fraction(V.bundle.degree)
-        n = V.rank
-        for lam, fl in zip(V.weights, V.flags):
-            deg += n - sum(l * a for l, a in zip(lam, fl.jumps))
-        return deg
+        return degree_from_datum(V, full_datum(V))
     if W.rank == 0:
         return Fraction(0)
     return degree_from_datum(V, induced_quot_datum(V, W))

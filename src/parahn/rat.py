@@ -1,8 +1,11 @@
 """Exact rationals: stdlib Fraction plus the fixed "a/b" wire format."""
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
+
+RAT_FORMAT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the schema's rat pattern
 
 
 def rat_str(x) -> str:
@@ -11,17 +14,14 @@ def rat_str(x) -> str:
 
 
 def rat_parse(s) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise ParseError(f"expected rational string, got {s!r}")
-    try:
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {s!r}: {exc}") from exc
+    """The rational written "a/b" or "a" (RAT_FORMAT); ParseError for
+    anything else, a zero denominator included."""
+    if not isinstance(s, str) or not RAT_FORMAT.fullmatch(s):
+        raise ParseError(f'expected a rational string "a/b", got {s!r}')
+    num, _, den = s.partition("/")
+    if den and int(den) == 0:
+        raise ParseError(f"zero denominator in {s!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def ceil_frac(x) -> int:

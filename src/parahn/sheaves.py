@@ -80,6 +80,11 @@ class SplitBundle:
     def degree(self) -> int:
         return sum(self.twists)
 
+    def check_subbundle_rank(self, r: int):
+        """Raise ShapeMismatch unless r is the rank of a subbundle, in [1, n]."""
+        if not 1 <= r <= self.rank:
+            raise ShapeMismatch(f"rank must be in [1, {self.rank}], got {r}")
+
     def extend_scalars(self, m: int) -> "SplitBundle":
         big, _ = self.field.extension(m)
         return SplitBundle(big, self.twists)
@@ -429,8 +434,7 @@ def enumerate_subbundles(
     summing to d; the result is sorted by canonical key.
     """
     n = E.rank
-    if r < 1 or r > n:
-        raise ShapeMismatch(f"rank must be in [1, {n}], got {r}")
+    E.check_subbundle_rank(r)
     if d > sum(E.twists[:r]):
         return ()
     count = enumerate_candidate_count(E, r, d, min_col_twist)

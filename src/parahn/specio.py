@@ -10,16 +10,20 @@ coefficient arrays over proper extensions; polynomial coefficients use the
 bare integer codes; rationals are always reduced "a/b" strings.
 
 This module checks the JSON shape only: types (an integer is never a
-boolean), required keys and vector lengths, raising SchemaError with the path.
-Every other input rule lives once in the engine and is called here through
-`_at`, which re-raises its error as ConsistencyError("<path>: <message>"):
-field_make and GF.extension (field, extension degree), SplitBundle (twists),
-flag_make and check_flag_shape (flags; FlagFamily calls the latter),
-check_weights (also called by ParabolicBundle and theta.is_admissible),
-ParabolicBundle (distinct points, one weight vector and flag each),
-make_subbundle, and hn.check_quot_datum / hn.check_fil_datum (also called by
-quot_points / fil_points).  parse_datum is the one parser of dominance data,
-for the datum block and --datum alike; parse_elem keeps elements in [0, q).
+boolean), required keys, vector lengths and the "a/b" form of rationals
+(rat.rat_parse), raising SchemaError with the path.  Every other input rule
+lives once in the engine and is called here through `_at`, which re-raises
+its error as ConsistencyError("<path>: <message>"): field_make and
+GF.extension (field, extension degree), GF.check_element (element codes in
+[0, q); also called by ParabolicBundle and flag_make), SplitBundle (twists),
+SplitBundle.check_subbundle_rank (the quot rank; also called by
+enumerate_subbundles and hn.check_quot_datum), flag_make and
+check_flag_shape (flags; FlagFamily calls the latter), check_weights (also
+called by ParabolicBundle and theta.is_admissible), ParabolicBundle
+(distinct points, one weight vector and flag each), make_subbundle, and
+hn.check_quot_datum / hn.check_fil_datum (also called by quot_points /
+fil_points).  parse_datum is the one parser of dominance data, for the datum
+block and --datum alike.
 """
 
 from __future__ import annotations
@@ -117,8 +121,7 @@ def parse_elem(F: GF, raw, path: str) -> int:
         return F.encode(coeffs + [0] * (F.k - len(coeffs)))
     else:
         raise SchemaError(f"{path}: expected a field element")
-    if not (0 <= val < F.q):
-        raise ConsistencyError(f"{path}: element {val} outside [0, {F.q})")
+    _at(path, F.check_element, val)
     return val
 
 
@@ -140,15 +143,23 @@ def emit_poly(F: GF, coeffs):
     return [list(F.coeffs(c)) for c in coeffs]
 
 
+def parse_rat(raw, path: str):
+    """A rational "a/b" string; anything rat_parse rejects is a SchemaError."""
+    try:
+        return rat_parse(raw)
+    except ParseError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def parse_rat_list(raw, path: str):
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a list of rationals")
-    return tuple(rat_parse(x) for x in raw)
+    return tuple(parse_rat(x, f"{path}[{i}]") for i, x in enumerate(raw))
 
 
 def parse_datum(items, n: int, path: str):
     """A dominance datum: n nonincreasing rationals (the datum block, --datum)."""
-    P = tuple(rat_parse(x) for x in items)
+    P = parse_rat_list(items, path)
     if len(P) != n:
         raise ConsistencyError(f"{path}: length must equal the rank {n}")
     if any(a < b for a, b in zip(P, P[1:])):
@@ -241,6 +252,7 @@ def parse_quot_datum(V: ParabolicBundle, doc, path: str, jumps_required=True):
     degree = _expect(doc, "degree", int, path)
     raw = _expect(doc, "jumps", list, path, _REQUIRED if jumps_required else None)
     if raw is None:
+        _at(path, V.bundle.check_subbundle_rank, rank)
         return rank, degree, None
     jumps = tuple(_ints(vec, f"{path}.jumps[{i}]") for i, vec in enumerate(raw))
     _at(path, check_quot_datum, V, QuotDatum(rank, degree, jumps))

@@ -2,9 +2,13 @@
 
 The rank-2 oracle performs a direct exhaustive filtration search: it derives
 its own degree window from the rank-1 degree sandwich, enumerates every line
-subbundle inside it, and classifies the bundle without touching the greedy
+subbundle inside it, and classifies the bundle without touching the HN
 engine.  At most one line can beat the total slope (two would violate degree
 additivity), which the oracle asserts rather than assumes.
+
+polygon_certificate checks a claimed HN filtration of any rank against the
+polygon it defines, enumerating every window that can reach that polygon
+with its own bounds and no hn code.
 
 induced_jumps_reference recomputes the induced flag jumps of a subbundle
 the direct way, one intersect_dim per flag member, without the engine's
@@ -16,10 +20,12 @@ tables, so the kernels' element-method fallback can be checked against the
 table path on the same inputs.
 """
 
+from fractions import Fraction
+
 import parahn.gf as gf
 from parahn.linalg import intersect_dim
 from parahn.parabolic import parabolic_degree
-from parahn.rat import floor_frac
+from parahn.rat import ceil_frac, floor_frac
 from parahn.sheaves import enumerate_subbundles
 
 
@@ -49,6 +55,49 @@ def rank2_oracle(V):
     L = beating[0]
     s = parabolic_degree(V, L)
     return (s, parabolic_degree(V) - s), L
+
+
+def polygon_certificate(V, filt):
+    """Assert that filt is the HN filtration of V; return the number of
+    subbundles checked.
+
+    The claimed polygon runs from (0, 0) through (rank U_j, h_j), where h_j
+    adds up slope times rank step, to (n, pardeg V).  Asserted: its slopes
+    strictly decrease, each step's parabolic degree is its vertex height, no
+    subbundle lies above the polygon, and at each vertex rank below n only
+    the step reaches it.  At rank r every window that can reach the height
+    h(r) is enumerated: each marked point adds r - sum_m lambda_m b_m,
+    strictly between 0 and r, to the sheaf degree d, so d > h(r) - r*|I|
+    (d >= h(r) with no points); d is at most the sum of the r largest
+    twists; a column twist is at most a_1, so every one is at least
+    d - (r - 1) a_1.
+    """
+    E = V.bundle
+    n = E.rank
+    npts = len(V.points)
+    verts = [(0, Fraction(0))]
+    for U, s in zip(filt.steps, filt.slopes):
+        r0, h0 = verts[-1]
+        verts.append((U.rank, h0 + s * (U.rank - r0)))
+        assert parabolic_degree(V, U) == verts[-1][1], "a step is off its vertex"
+    assert verts[-1][0] == n, "the last step is not the whole bundle"
+    assert all(a > b for a, b in zip(filt.slopes, filt.slopes[1:])), "not concave"
+    step_at = {U.rank: U for U in filt.steps}
+    checked = 0
+    for r in range(1, n):
+        (r0, h0), (r1, h1) = next(
+            (a, b) for a, b in zip(verts, verts[1:]) if a[0] <= r <= b[0]
+        )
+        h = h0 + (h1 - h0) * Fraction(r - r0, r1 - r0)
+        d_min = floor_frac(h - r * npts) + 1 if npts else ceil_frac(h)
+        for d in range(sum(E.twists[:r]), d_min - 1, -1):
+            for W in enumerate_subbundles(E, r, d, d - (r - 1) * E.twists[0]):
+                deg = parabolic_degree(V, W)
+                assert deg <= h, f"a rank-{r} subbundle lies above the polygon"
+                if deg == h and r in step_at:
+                    assert W == step_at[r], f"a second subbundle reaches vertex {r}"
+                checked += 1
+    return checked
 
 
 def induced_jumps_reference(V, W):

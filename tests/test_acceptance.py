@@ -105,7 +105,7 @@ def test_criterion_02_greedy_matches_exhaustive_oracle():
         agree += 1
     dt = time.monotonic() - t0
     assert dt < 600.0, f"suite took {dt:.1f}s"
-    report(2, f"greedy equals exhaustive oracle on {agree}/{len(suite)} instances in {dt:.1f}s")
+    report(2, f"HN engine equals exhaustive oracle on {agree}/{len(suite)} instances in {dt:.1f}s")
 
 
 def test_criterion_03_scalar_extension_invariance():

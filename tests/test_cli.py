@@ -114,6 +114,9 @@ RULES = {
     "quot-rank-range": (
         "quot-points", dict(R1_DOC, quot={"rank": 3, "degree": 0, "jumps": [[2, 1]]}), (), "quot"
     ),
+    "quot-rank-range-no-jumps": (
+        "enum-sub", dict(R1_DOC, quot={"rank": 3, "degree": 0}), (), "quot"
+    ),
     "quot-jumps-per-point": (
         "quot-points", dict(R1_DOC, quot={"rank": 1, "degree": 0, "jumps": []}), (), "quot"
     ),
@@ -213,7 +216,15 @@ BOOLEAN_INTS = {
     ),
 }
 
-SHAPE_ERRORS = {**MALFORMED, **BOOLEAN_INTS}
+# Rationals other than "a/b" strings.
+RATIONALS = {
+    "rat:datum-boolean": ("strata", dict(R1_DOC, datum=["1/1", True]), "datum[1]"),
+    "rat:weights-integer": ("hn", dict(R1_DOC, weights=[[1, "3/4"]]), "weights[0][0]"),
+    "rat:weights-text": ("hn", dict(R1_DOC, weights=[[True, "x"]]), "weights[0][0]"),
+    "rat:weights-malformed": ("hn", dict(R1_DOC, weights=[["1/4", "3/x"]]), "weights[0][1]"),
+}
+
+SHAPE_ERRORS = {**MALFORMED, **BOOLEAN_INTS, **RATIONALS}
 
 
 @pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))

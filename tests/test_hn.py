@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 import parahn.hn as hn
-from parahn.errors import BudgetExceeded, LengthMismatch, NoComparableStratum
+from parahn.errors import (
+    BudgetExceeded,
+    LengthMismatch,
+    NoComparableStratum,
+    NonUniqueMaximum,
+)
 from parahn.gf import field_make
 from parahn.hn import (
     FlagFamily,
@@ -24,17 +29,25 @@ from parahn.hn import (
     sigma_candidates,
     strata_member,
 )
-from parahn.parabolic import ParabolicBundle, QuotDatum, parabolic_degree
+from parahn.linalg import rank
+from parahn.parabolic import (
+    ParabolicBundle,
+    QuotDatum,
+    degree_from_datum,
+    flag_make,
+    parabolic_degree,
+)
 from parahn.sheaves import SplitBundle, full_subbundle, make_subbundle
 
 from conftest import (
+    F2,
     F3,
     make_rank2,
     one_point_aligned,
     two_point_aligned,
     two_point_generic,
 )
-from oracles import rank2_oracle
+from oracles import polygon_certificate, rank2_oracle
 
 
 def axis_e1(E):
@@ -61,6 +74,91 @@ def test_max_destabilizing_two_point_aligned():
 def test_max_destabilizing_generic_is_whole_bundle():
     V = two_point_generic()
     assert max_destabilizing(V) == full_subbundle(V.bundle)
+
+
+# -- the HN polygon ----------------------------------------------------------------
+
+
+def random_bundle(rng, F, twists, npts, jumps):
+    """Flags with the given jumps through random bases at distinct random
+    points, with random increasing weights of one denominator."""
+    n = len(twists)
+    flags = []
+    for _ in range(npts):
+        while True:
+            vecs = [tuple(rng.randrange(F.q) for _ in range(n)) for _ in range(n)]
+            if rank(F, vecs) == n:
+                break
+        dims = [sum(jumps[:m]) for m in range(1, len(jumps))]
+        flags.append(flag_make(F, n, jumps, tuple(tuple(vecs[:k]) for k in dims)))
+    den = rng.choice((5, 7, 9))
+    weights = tuple(
+        tuple(Fraction(x, den) for x in sorted(rng.sample(range(1, den), len(jumps))))
+        for _ in range(npts)
+    )
+    points = tuple(rng.sample(range(F.q), npts))
+    return ParabolicBundle(SplitBundle(F, twists), points, tuple(flags), weights)
+
+
+def polygon_cases():
+    """Seeded rank-3 bundles over F_2 (one or two points) and F_3 (one point),
+    with twisted splitting types and partial flags, and two rank-4 bundles
+    over F_2."""
+    rng = random.Random(6)
+    types = ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, -1), (0, 0, -1))
+    jumps = ((1, 1, 1), (1, 2), (2, 1), (1, 0, 2))
+    cases = []
+    for _ in range(16):
+        F = rng.choice((F2, F3))
+        npts = rng.choice((1, 2)) if F is F2 else 1
+        cases.append(random_bundle(rng, F, rng.choice(types), npts, rng.choice(jumps)))
+    cases.append(random_bundle(rng, F2, (1, 0, 0, -1), 1, (1, 1, 1, 1)))
+    cases.append(random_bundle(rng, F2, (0, 0, 0, -1), 1, (1, 1, 2)))
+    return cases
+
+
+@pytest.mark.parametrize("V", polygon_cases())
+def test_filtration_passes_polygon_certificate(V):
+    assert polygon_certificate(V, hn_filtration(V)) > 0
+
+
+def test_tied_vertex_raises(monkeypatch):
+    # every degree-0 line of one_point_aligned() gets the aligned line's 3/4
+    def tied(V, theta):
+        if theta.rank == 1 and theta.degree == 0:
+            return Fraction(3, 4)
+        return degree_from_datum(V, theta)
+
+    monkeypatch.setattr(hn, "_FILT_CACHE", {})
+    monkeypatch.setattr(hn, "degree_from_datum", tied)
+    with pytest.raises(NonUniqueMaximum):
+        hn_filtration(one_point_aligned())
+
+
+def test_edge_point_outside_the_steps_raises(monkeypatch):
+    # O^3 over F_2, one point, full flag, pardeg V = 3/2: the flag plane
+    # gets 3/2 and the degree-0 lines outside it get 3/4 (both inside their
+    # windows' bounds), so the lines sit on the edge from (0, 0) to the
+    # plane's vertex (2, 3/2) without lying in the plane
+    E = SplitBundle(F2, (0, 0, 0))
+    flag = flag_make(F2, 3, (1, 1, 1), (((1, 0, 0),), ((1, 0, 0), (0, 1, 0))))
+    V = ParabolicBundle(
+        E, (0,), (flag,), ((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),)
+    )
+
+    def skewed(V, theta):
+        if theta.rank == 3:
+            return degree_from_datum(V, theta)
+        if theta.degree == 0 and theta.jumps == ((1, 1, 0),):
+            return Fraction(3, 2)
+        if theta.degree == 0 and theta.jumps == ((0, 0, 1),):
+            return Fraction(3, 4)
+        return Fraction(-5)
+
+    monkeypatch.setattr(hn, "_FILT_CACHE", {})
+    monkeypatch.setattr(hn, "degree_from_datum", skewed)
+    with pytest.raises(NonUniqueMaximum, match="escapes"):
+        hn_filtration(V)
 
 
 # -- filtration and datum --------------------------------------------------------
@@ -386,7 +484,7 @@ def test_greedy_matches_oracle_on_named_fixtures():
 def test_filtration_is_unique_valid_chain_among_sigma_candidates():
     # rebuild the canonical chain from the chain schemes alone: over all
     # candidate filtration data for the attained datum, exactly one enumerated
-    # chain has strictly decreasing slopes, and it is the greedy one
+    # chain has strictly decreasing slopes, and it is the engine's
     from parahn.parabolic import parabolic_degree
 
     for V in (one_point_aligned(), two_point_aligned(), two_point_generic()):

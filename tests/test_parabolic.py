@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from parahn.errors import EqualRanks, IncompatibleShape, NotNested
+from parahn.errors import EqualRanks, FieldMismatch, IncompatibleShape, NotNested
 from parahn.parabolic import (
     ParabolicBundle,
     direct_sum,
+    flag_make,
     hom_parabolic,
     induced_quot_datum,
     parabolic_degree,
@@ -22,12 +23,27 @@ from parahn.sheaves import (
     zero_subbundle,
 )
 
-from conftest import F3, make_rank2, one_point_aligned, two_point_aligned, two_point_generic
+from conftest import F2, F3, make_rank2, one_point_aligned, two_point_aligned, two_point_generic
 
 
 def axis(E, which):
     cols = [((1,),), ((),)] if which == 0 else [((),), ((1,),)]
     return make_subbundle(E, (0,), tuple(cols))
+
+
+@pytest.mark.parametrize("points", [(7,), (0, 1, 2)], ids=["7", "0-1-2"])
+def test_points_must_be_field_elements(points):
+    flag = flag_make(F2, 2, (1, 1), (((1, 0),),))
+    w = (Fraction(1, 4), Fraction(3, 4))
+    with pytest.raises(FieldMismatch, match=r"outside \[0, 2\)"):
+        ParabolicBundle(
+            SplitBundle(F2, (0, 0)), points, (flag,) * len(points), (w,) * len(points)
+        )
+
+
+def test_flag_entries_must_be_field_elements():
+    with pytest.raises(FieldMismatch, match="element 5"):
+        flag_make(F2, 2, (1, 1), (((1, 5),),))
 
 
 def test_induced_datum_alignment():

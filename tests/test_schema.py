@@ -3,7 +3,6 @@ the CLI fixtures validate and parse, and every document with a malformed
 shape is rejected by both."""
 
 import json
-import re
 from pathlib import Path
 
 import pytest
@@ -14,15 +13,11 @@ from parahn.errors import ParahnError
 from parahn.specio import parse_spec
 
 from test_cli import R1_DOC, R2_DOC, SHAPE_ERRORS
+from test_readme import readme_example
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "bundle-spec.schema.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
-
-
-def readme_example():
-    text = (ROOT / "README.md").read_text()
-    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
 
 
 def test_schema_is_valid():

@@ -1,0 +1,94 @@
+"""Report-by-report comparison of two parahn source trees.
+
+    python3 tools/same_reports.py --before DIR --after DIR
+
+Each tree is a checkout with its own `bench/` and `src/`.  For seeds 1 and 7
+the script runs, in both trees, every cli-mix item (`bench/workloads.py`
+`cli_items`) as a `python -m parahn.cli` process and every hn-ladder item
+(`ladder_slots`) through `bench/worker.py rung`.  It prints each output that
+differs between the trees, apart from the CLI's `timing_ms` and the worker's
+`seconds`, and exits 1 if any does.  Exit codes are compared too.  The input
+documents come from the after tree's `bench/workloads.py`; items run one at a
+time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 7)
+
+
+def stable(text: str) -> str:
+    """A report without its run time: JSON loses `timing_ms`, markdown the
+    line that carries it."""
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        return "\n".join(ln for ln in text.splitlines() if "timing_ms" not in ln)
+    report.pop("timing_ms", None)
+    return json.dumps(report, sort_keys=True)
+
+
+def run(tree: Path, argv) -> tuple:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    env.pop("PARAHN_BUDGET", None)
+    proc = subprocess.run([sys.executable, *argv], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def cli_output(tree: Path, cmd: str, path: Path, extra) -> tuple:
+    code, out = run(tree, ["-m", "parahn.cli", cmd, "--input", str(path), *extra])
+    return code, stable(out)
+
+
+def rung_output(tree: Path, seed: int, rung: str, slot: int) -> tuple:
+    code, out = run(tree, ["bench/worker.py", "rung", str(seed), rung, str(slot)])
+    lines = out.strip().splitlines()
+    if code != 0 or not lines:
+        return code, out
+    result = json.loads(lines[-1])
+    result.pop("seconds", None)
+    return code, json.dumps(result, sort_keys=True)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", type=Path, required=True)
+    ap.add_argument("--after", type=Path, required=True)
+    args = ap.parse_args(argv)
+    before, after = args.before.resolve(), args.after.resolve()
+    sys.path[:0] = [str(after / "src"), str(after / "bench")]
+    import workloads
+
+    compared, differ = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SEEDS:
+            jobs = []
+            for name, cmd, doc, extra, _ in workloads.cli_items(seed):
+                path = Path(tmp) / f"{seed}-{name}.json"
+                path.write_text(json.dumps(doc), encoding="utf-8")
+                jobs.append((f"cli-mix seed {seed} {name}", cli_output, (cmd, path, extra)))
+            for rung, slot in workloads.ladder_slots():
+                jobs.append((f"hn-ladder seed {seed} {rung}.{slot}", rung_output,
+                             (seed, rung, slot)))
+            for label, fn, fn_args in jobs:
+                old, new = fn(before, *fn_args), fn(after, *fn_args)
+                compared += 1
+                if old != new:
+                    differ.append(label)
+                    print(f"DIFFERS {label}\n  before: exit {old[0]} {old[1][:400]}\n"
+                          f"  after:  exit {new[0]} {new[1][:400]}", flush=True)
+    print(f"{compared} outputs compared, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
