@@ -137,7 +137,7 @@ def _cmd_fil_points(spec, args, budget):
 
 def _cmd_bounds_F(spec, args, budget):
     P = _get_datum(spec, args)
-    data = enumerate_F(P, spec.bundle.rank, len(spec.bundle.points))
+    data = enumerate_F(P, len(spec.bundle.points))
     return {"count": len(data), "data": [emit_datum(d) for d in data]}
 
 
@@ -150,9 +150,7 @@ def _cmd_bounds_B(spec, args, budget):
 def _cmd_sigma(spec, args, budget):
     P = _get_datum(spec, args)
     chain_lengths = tuple(fl.chain_length for fl in spec.bundle.flags)
-    cands = sigma_candidates(
-        P, spec.bundle.rank, len(spec.bundle.points), chain_lengths
-    )
+    cands = sigma_candidates(P, chain_lengths)
     return {
         "count": len(cands),
         "candidates": [[emit_quot_datum(t) for t in datum] for datum in cands],

@@ -153,7 +153,7 @@ def _smallest_irreducible(p: int, k: int):
 class GF:
     """The field F_{p^k}; elements are ints encoding coefficient vectors."""
 
-    def __init__(self, p: int, k: int = 1, modulus=None):
+    def __init__(self, p: int, k: int = 1):
         if k < 1:
             raise InvalidDegree(f"extension degree must be >= 1, got {k}")
         if not is_prime(p):
@@ -161,14 +161,7 @@ class GF:
         self.p = p
         self.k = k
         self.q = p ** k
-        if k == 1:
-            self.modulus = None
-        else:
-            self.modulus = tuple(modulus) if modulus is not None else _smallest_irreducible(p, k)
-            if len(self.modulus) != k + 1 or self.modulus[-1] != 1:
-                raise InvalidDegree("modulus must be monic of degree k")
-            if not _is_irreducible(self.modulus, p):
-                raise InvalidDegree("modulus is reducible")
+        self.modulus = None if k == 1 else _smallest_irreducible(p, k)
         self._add = self._sub = self._mul = self._neg = self._inv = None
         if self.q <= _TABLE_MAX:
             self._build_tables()

@@ -9,10 +9,17 @@ HN filtration is read off the HN polygon, the upper concave envelope of
 (rank, parabolic degree) over all subbundles, found in one pass over the
 windows that can reach it (see hn_filtration).  Enumerations are cached per
 (field, twists, rank, degree) since they do not depend on flags or weights.
+
+The finiteness bound sets take their sizes from their inputs: the rank n is
+the length of the datum, and the marked points are counted by num_points
+(enumerate_F), the weight vectors (enumerate_B) or the flag chain lengths
+(sigma_candidates).  Their tuples come from itertools or from the one pruned
+generator sheaves.nonincreasing_tuples, which also yields twist vectors.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -45,6 +52,7 @@ from .sheaves import (
     enumerate_candidate_count,
     enumerate_subbundles,
     full_subbundle,
+    nonincreasing_tuples,
     zero_subbundle,
 )
 
@@ -363,29 +371,22 @@ def filtration_datum(filt: HNFiltration):
 # -- finiteness bound sets -------------------------------------------------------
 
 
-def enumerate_F(P, n: int, num_points: int):
+def enumerate_F(P, num_points: int):
     """Finite superset of the classical data compatible with the bound P.
 
-    Nonincreasing n-tuples in (1/n!)Z with integer total, squeezed between
-    P_1 and sum(P) - n*|I| - (n-1)*P_1.
+    Nonincreasing n-tuples, n = len(P), in (1/n!)Z with integer total,
+    squeezed between P_1 and sum(P) - n*|I| - (n-1)*P_1.
     """
     P = tuple(Fraction(x) for x in P)
+    n = len(P)
     fact = math.factorial(n)
-    hi = P[0]
-    lo = sum(P) - n * num_points - (n - 1) * P[0]
-    lo_i = ceil_frac(lo * fact)
-    hi_i = floor_frac(hi * fact)
-    out = []
-
-    def rec(prefix, cap, total):
-        if len(prefix) == n:
-            if total % fact == 0:
-                out.append(tuple(Fraction(v, fact) for v in prefix))
-            return
-        for v in range(min(cap, hi_i), lo_i - 1, -1):
-            rec(prefix + [v], v, total + v)
-
-    rec([], hi_i, 0)
+    lo = ceil_frac((sum(P) - n * num_points - (n - 1) * P[0]) * fact)
+    nums = range(floor_frac(P[0] * fact), lo - 1, -1)
+    out = [
+        tuple(Fraction(v, fact) for v in t)
+        for t in itertools.combinations_with_replacement(nums, n)
+        if sum(t) % fact == 0
+    ]
     return tuple(sorted(out))
 
 
@@ -412,84 +413,40 @@ def enumerate_B(Q, weights):
         for z in range(z_lo, z_hi + 1):
             values.add(Fraction(z + x, fact))
     vals = sorted(values, reverse=True)
-    total = sum(Q)
-    out = []
-
-    def rec(prefix, start, remaining):
-        k = len(prefix)
-        if k == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        left = n - k
-        for i in range(start, len(vals)):
-            v = vals[i]
-            if v * left < remaining:
-                break  # vals descend: everything later is smaller
-            if remaining - v > (left - 1) * v:
-                continue
-            if remaining - v < (left - 1) * vals[-1]:
-                continue
-            rec(prefix + [v], i, remaining - v)
-
-    rec([], 0, total)
-    return tuple(sorted(out))
+    return tuple(sorted(nonincreasing_tuples(vals, n, sum(Q))))
 
 
-def sigma_candidates(P, n: int, num_points: int, chain_lengths=None):
-    """All filtration data a chain realizing the datum P could carry.
+def sigma_candidates(P, chain_lengths):
+    """All filtration data a chain realizing the datum P could carry, with
+    one flag of chain_lengths[i] blocks at each marked point i.
 
     Step ranks are the block boundaries of P; step degrees range over an
     integer window of width rank*|I| below the block prefix sum; jump vectors
-    are unconstrained nonnegative compositions of the rank.
+    are unconstrained nonnegative compositions of the rank.  The candidates
+    come out sorted by (rank, degree, jumps) of each step.
     """
     P = tuple(Fraction(x) for x in P)
-    if len(P) != n:
-        raise LengthMismatch(f"datum has length {len(P)}, expected {n}")
-    if chain_lengths is None:
-        chain_lengths = (n,) * num_points
-    ranks = []
-    for i in range(1, n):
-        if P[i] != P[i - 1]:
-            ranks.append(i)
-    if not ranks:
-        return ()
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
+    num_points = len(chain_lengths)
     step_choices = []
-    prefix = Fraction(0)
-    idx = 0
-    for k in ranks:
-        while idx < k:
-            prefix += P[idx]
-            idx += 1
-        d_lo = ceil_frac(prefix - k * num_points)
-        d_hi = floor_frac(prefix)
+    for k in range(1, len(P)):
+        if P[k] == P[k - 1]:
+            continue
+        prefix = sum(P[:k])
         jump_lists = [
-            sorted(compositions(k, N)) for N in chain_lengths
+            [c for c in itertools.product(range(k + 1), repeat=N) if sum(c) == k]
+            for N in chain_lengths
         ]
-        choices = []
-        for d in range(d_lo, d_hi + 1):
-            def build(acc, lists):
-                if not lists:
-                    choices.append(QuotDatum(k, d, tuple(acc)))
-                    return
-                for j in lists[0]:
-                    build(acc + [j], lists[1:])
-
-            build([], jump_lists)
-        step_choices.append(choices)
-    out = [()]
-    for choices in step_choices:
-        out = [datum + (c,) for datum in out for c in choices]
-    return tuple(sorted(out, key=lambda a: tuple((t.rank, t.degree, t.jumps) for t in a)))
+        degrees = range(ceil_frac(prefix - k * num_points), floor_frac(prefix) + 1)
+        step_choices.append(
+            [
+                QuotDatum(k, d, jumps)
+                for d in degrees
+                for jumps in itertools.product(*jump_lists)
+            ]
+        )
+    if not step_choices:
+        return ()
+    return tuple(itertools.product(*step_choices))
 
 
 # -- families ---------------------------------------------------------------------

@@ -81,7 +81,7 @@ def flag_make(field, n: int, jumps, raw_subspaces) -> Flag:
         rows = tuple(tuple(r) for r in rows)
         for c in sum(rows, ()):
             field.check_element(c)
-        red, rk, _ = rref(field, rows) if rows else ((), 0, ())
+        red, rk, _ = rref(field, rows)
         if rk != expect:
             raise ShapeMismatch(
                 f"flag member {m}: dimension {rk}, expected {expect}"
@@ -275,9 +275,9 @@ def sub_parabolic(V: ParabolicBundle, W: Subbundle) -> ParabolicBundle:
         dims = [0]
         for m in range(1, fl.chain_length):
             ann = _annihilator(F, fl.subspace(m, n), n)
-            constraint = matmul(F, ann, fiber) if ann else ()
+            constraint = matmul(F, ann, fiber)
             pre = kernel_basis(F, constraint, ncols=r)
-            red, rk, _ = rref(F, pre) if pre else ((), 0, ())
+            red, rk, _ = rref(F, pre)
             spaces.append(red[:rk])
             dims.append(rk)
         dims.append(r)
@@ -300,7 +300,7 @@ def quotient_parabolic(V: ParabolicBundle, W: Subbundle) -> ParabolicBundle:
         spaces = []
         for m in range(1, fl.chain_length):
             imgs = tuple(matvec(F, proj, v) for v in fl.subspace(m, n))
-            red, rk, _ = rref(F, imgs) if imgs else ((), 0, ())
+            red, rk, _ = rref(F, imgs)
             spaces.append(red[:rk])
         jumps = tuple(
             a - b for a, b in zip(fl.jumps, theta.jumps[idx])
@@ -351,7 +351,7 @@ def hom_parabolic(A: ParabolicBundle, B: ParabolicBundle):
                         row.append(F.mul(F.mul(z[j], u[k]), powers[e]))
                     constraints.append(tuple(row))
     basis = kernel_basis(F, constraints, ncols=nvars)
-    red, rk, _ = rref(F, basis) if basis else ((), 0, ())
+    red, rk, _ = rref(F, basis)
     mats = []
     for vec in red[:rk]:
         mat = [[[] for _ in range(nA)] for _ in range(nB)]
@@ -387,7 +387,7 @@ def direct_sum(A: ParabolicBundle, B: ParabolicBundle | None) -> ParabolicBundle
             for v in fb.subspace(m, nB):
                 full = (0,) * nA + tuple(v)
                 rows.append(tuple(full[i] for i in order))
-            red, rk, _ = rref(F, tuple(rows)) if rows else ((), 0, ())
+            red, rk, _ = rref(F, rows)
             spaces.append(red[:rk])
         jumps = tuple(a + b for a, b in zip(fa.jumps, fb.jumps))
         flags.append(Flag(jumps, tuple(spaces)))

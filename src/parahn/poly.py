@@ -246,23 +246,12 @@ def lscale(F: GF, a, c: int):
     return (a[0], tuple(F.row_scale(a[1], c)))
 
 
-def lshift(a, n: int):
-    """Multiply by t^n (any sign)."""
-    if lis_zero(a):
-        return a
-    return (a[0] + n, a[1])
-
-
 def lcoeff(a, n: int) -> int:
     """Coefficient of t^n."""
     lo, c = a
     if not c or n < lo or n >= lo + len(c):
         return 0
     return c[n - lo]
-
-
-def lmap(a, f):
-    return (a[0], tuple(f(c) for c in a[1]))
 
 
 def lmonomial(c: int, n: int) -> tuple:

@@ -340,23 +340,31 @@ def canonical_key(E: SplitBundle, W: Subbundle):
 # -- enumeration ---------------------------------------------------------------
 
 
-def _twist_vectors(r: int, total: int, lo: int, hi: int):
-    """Nonincreasing r-tuples with entries in [lo, hi] summing to total."""
+def nonincreasing_tuples(values, k: int, total):
+    """Nonincreasing k-tuples drawn with repetition from the strictly
+    descending sequence values and summing to total, in decreasing
+    lexicographic order.
+
+    A branch is cut as soon as its remaining sum falls outside what the open
+    slots can reach: at most the current value in each, at least the last.
+    """
+    low = values[-1] if values else 0
     out = []
 
-    def rec(prefix, remaining, cap):
-        depth = len(prefix)
-        if depth == r:
+    def rec(prefix, start, remaining):
+        left = k - len(prefix)
+        if left == 0:
             if remaining == 0:
                 out.append(tuple(prefix))
             return
-        slots_left = r - depth - 1
-        for v in range(min(cap, remaining - slots_left * lo), lo - 1, -1):
-            if remaining - v < slots_left * lo or remaining - v > slots_left * v:
-                continue
-            rec(prefix + [v], remaining - v, v)
+        for i in range(start, len(values)):
+            v = values[i]
+            if v * left < remaining:
+                break  # values descend: every later choice falls short too
+            if (left - 1) * low <= remaining - v <= (left - 1) * v:
+                rec(prefix + [v], i, remaining - v)
 
-    rec([], total, hi)
+    rec([], 0, total)
     return out
 
 
@@ -397,7 +405,8 @@ def _count_column_candidates(q: int, slots) -> int:
 def enumerate_candidate_count(E: SplitBundle, r: int, d: int, min_col_twist: int) -> int:
     q = E.field.q
     count = 0
-    for vec in _twist_vectors(r, d, min_col_twist, max(E.twists)):
+    twists = range(max(E.twists), min_col_twist - 1, -1)
+    for vec in nonincreasing_tuples(twists, r, d):
         prod = 1
         for dk in vec:
             prod *= _count_column_candidates(q, _column_slots(E, dk))
@@ -432,6 +441,13 @@ def enumerate_subbundles(
 
     Column twists range over nonincreasing vectors in [min_col_twist, a_1]
     summing to d; the result is sorted by canonical key.
+
+    Which presentation stands for a subsheaf: at rank 1 it has exactly one
+    candidate, the column scaled so its first nonzero coefficient is 1.  At
+    higher rank several candidates of one twist vector can share a key, and
+    the last validated one in column-product order is kept, since each
+    overwrites the one before it in `found`.  Reports print these matrices,
+    so another enumeration order must keep them or change the reports.
     """
     n = E.rank
     E.check_subbundle_rank(r)
@@ -442,11 +458,11 @@ def enumerate_subbundles(
         raise BudgetExceeded(count, budget)
     F = E.field
     found = {}
-    for vec in _twist_vectors(r, d, min_col_twist, max(E.twists)):
+    twists = range(max(E.twists), min_col_twist - 1, -1)
+    for vec in nonincreasing_tuples(twists, r, d):
         slot_lists = [_column_slots(E, dk) for dk in vec]
         if r == 1:
             slots = slot_lists[0]
-            rows_present = [j for j, _ in slots]
             for fill in _column_candidates(F, slots):
                 col = [()] * n
                 for (j, _), p in zip(slots, fill):

@@ -29,6 +29,7 @@ block and --datum alike.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import partial
 
@@ -88,10 +89,12 @@ def _expect(doc, key, kind, path, default=_REQUIRED):
     return val
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _ints(vals, path: str) -> tuple:
-    if not isinstance(vals, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in vals
-    ):
+    if not isinstance(vals, list) or not all(_is_int(v) for v in vals):
         raise SchemaError(f"{path}: expected a list of integers")
     return tuple(vals)
 
@@ -100,27 +103,20 @@ def _ints(vals, path: str) -> tuple:
 
 
 def parse_elem(F: GF, raw, path: str) -> int:
-    if isinstance(raw, bool):
-        raise SchemaError(f"{path}: expected a field element, got a boolean")
-    if isinstance(raw, int):
+    """A field element in one of the schema's forms: a string of decimal
+    digits, an integer (never a boolean), or an array of integers."""
+    if _is_int(raw):
         val = raw
-    elif isinstance(raw, str):
-        try:
-            val = int(raw, 10)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: bad field element {raw!r}") from exc
-    elif isinstance(raw, list):
+    elif isinstance(raw, str) and re.fullmatch("[0-9]+", raw):
+        val = int(raw)
+    elif isinstance(raw, list) and all(_is_int(c) for c in raw):
         if len(raw) > F.k:
             raise SchemaError(f"{path}: coefficient array longer than degree {F.k}")
-        try:
-            coeffs = [int(c) for c in raw]
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: bad coefficient array") from exc
-        if any(not (0 <= c < F.p) for c in coeffs):
+        if any(not (0 <= c < F.p) for c in raw):
             raise ConsistencyError(f"{path}: coefficients must lie in [0, {F.p})")
-        return F.encode(coeffs + [0] * (F.k - len(coeffs)))
+        return F.encode(raw + [0] * (F.k - len(raw)))
     else:
-        raise SchemaError(f"{path}: expected a field element")
+        raise SchemaError(f"{path}: expected a field element, got {raw!r}")
     _at(path, F.check_element, val)
     return val
 

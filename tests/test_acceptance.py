@@ -260,23 +260,20 @@ def test_criterion_09_admissibility_region():
 def test_criterion_10_bound_set_containments():
     checked = 0
     for V, filt, datum in _suite_data():
-        n = V.rank
         npts = len(V.points)
         classical = hn_datum(hn_filtration(ParabolicBundle(V.bundle, (), (), ())))
-        assert classical in enumerate_F(datum, n, npts)
+        assert classical in enumerate_F(datum, npts)
         b_set = enumerate_B(datum, V.weights)
         assert datum in b_set
         psi = filtration_datum(filt)
-        cands = sigma_candidates(
-            datum, n, npts, tuple(fl.chain_length for fl in V.flags)
-        )
+        cands = sigma_candidates(datum, tuple(fl.chain_length for fl in V.flags))
         if len(set(datum)) == 1:
             assert psi == () and cands == ()
         else:
             assert psi in cands
         for P in b_set:
             if hn_leq(datum, P):
-                assert classical in enumerate_F(P, n, npts)
+                assert classical in enumerate_F(P, npts)
         checked += 1
     report(10, f"F/B/sigma containments hold on all {checked} instances")
 

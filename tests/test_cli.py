@@ -224,7 +224,20 @@ RATIONALS = {
     "rat:weights-malformed": ("hn", dict(R1_DOC, weights=[["1/4", "3/x"]]), "weights[0][1]"),
 }
 
-SHAPE_ERRORS = {**MALFORMED, **BOOLEAN_INTS, **RATIONALS}
+# Field elements in none of the schema's forms (a string of decimal digits, an
+# integer, an array of integers).
+F9_DOC = dict(R1_DOC, field={"p": 3, "k": 2})
+F11_DOC = dict(R1_DOC, field={"p": 11, "k": 1})
+ELEMENTS = {
+    "elem:float-coefficient": ("hn", dict(F9_DOC, points=[[1.5, 1]]), "points[0]"),
+    "elem:boolean-coefficient": ("hn", dict(F9_DOC, points=[[True, 1]]), "points[0]"),
+    "elem:string-coefficient": ("hn", dict(F9_DOC, points=[["1", 2]]), "points[0]"),
+    "elem:underscore": ("hn", dict(F11_DOC, points=["1_0"]), "points[0]"),
+    "elem:space": ("hn", dict(F11_DOC, points=[" 2"]), "points[0]"),
+    "elem:sign": ("hn", dict(F11_DOC, points=["+1"]), "points[0]"),
+}
+
+SHAPE_ERRORS = {**MALFORMED, **BOOLEAN_INTS, **RATIONALS, **ELEMENTS}
 
 
 @pytest.mark.parametrize("case", sorted(SHAPE_ERRORS))

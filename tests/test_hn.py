@@ -391,7 +391,7 @@ def test_fil_points_nested_pairs_match_brute_force():
 
 def test_enumerate_F_lattice_count():
     P = (Fraction(1), Fraction(1))
-    got = enumerate_F(P, 2, 2)
+    got = enumerate_F(P, 2)
     # independent double loop over the half-integer lattice
     expected = set()
     for a2 in range(-6, 3):  # numerators of halves
@@ -404,8 +404,24 @@ def test_enumerate_F_lattice_count():
     assert len(got) == 25
 
 
+def test_enumerate_F_rank_three_sixths():
+    P = (Fraction(1, 2), Fraction(0), Fraction(-1, 2))
+    got = enumerate_F(P, 1)
+    # independent triple loop over the lattice of sixths, between P_1 = 1/2
+    # and sum(P) - 3*|I| - 2*P_1 = -4
+    expected = []
+    for a in range(-30, 10):
+        for b in range(-30, 10):
+            for c in range(-30, 10):
+                t = (Fraction(a, 6), Fraction(b, 6), Fraction(c, 6))
+                if P[0] >= t[0] >= t[1] >= t[2] >= -4 and (a + b + c) % 6 == 0:
+                    expected.append(t)
+    assert got == tuple(sorted(expected))
+    assert len(got) == 680
+
+
 def test_enumerate_F_rank_one_single_window():
-    got = enumerate_F((Fraction(3, 4),), 1, 1)
+    got = enumerate_F((Fraction(3, 4),), 1)
     assert got == ((Fraction(0),),)
 
 
@@ -416,7 +432,7 @@ def test_enumerate_F_contains_classical_data(suite):
         classical = hn_datum(
             hn_filtration(ParabolicBundle(V.bundle, (), (), ()))
         )
-        assert classical in enumerate_F(P, V.rank, len(V.points))
+        assert classical in enumerate_F(P, len(V.points))
 
 
 def test_enumerate_B_fixture_membership():
@@ -440,7 +456,7 @@ def test_enumerate_B_superset_on_fixtures(suite):
 
 
 def test_sigma_candidates_fixture():
-    got = sigma_candidates((Fraction(3, 4), Fraction(1, 4)), 2, 1)
+    got = sigma_candidates((Fraction(3, 4), Fraction(1, 4)), (2,))
     assert len(got) == 2
     for datum in got:
         assert len(datum) == 1
@@ -449,8 +465,15 @@ def test_sigma_candidates_fixture():
         assert theta.jumps in (((1, 0),), ((0, 1),))
 
 
+def test_sigma_candidates_come_out_sorted():
+    got = sigma_candidates((Fraction(1), Fraction(0), Fraction(-1)), (3, 2))
+    assert len(got) == 1620
+    key = lambda alpha: tuple((t.rank, t.degree, t.jumps) for t in alpha)
+    assert got == tuple(sorted(got, key=key))
+
+
 def test_sigma_candidates_constant_datum_empty():
-    assert sigma_candidates((Fraction(1), Fraction(1)), 2, 1) == ()
+    assert sigma_candidates((Fraction(1), Fraction(1)), (2,)) == ()
 
 
 def test_sigma_contains_own_filtration_data(suite):
@@ -458,9 +481,7 @@ def test_sigma_contains_own_filtration_data(suite):
         filt = hn_filtration(V)
         P = hn_datum(filt)
         psi = filtration_datum(filt)
-        cands = sigma_candidates(
-            P, V.rank, len(V.points), tuple(f.chain_length for f in V.flags)
-        )
+        cands = sigma_candidates(P, tuple(f.chain_length for f in V.flags))
         if len(set(P)) == 1:
             assert psi == () and cands == ()
         else:
@@ -493,9 +514,7 @@ def test_filtration_is_unique_valid_chain_among_sigma_candidates():
         if filt.length == 1:
             continue
         valid = []
-        cands = sigma_candidates(
-            P, V.rank, len(V.points), tuple(f.chain_length for f in V.flags)
-        )
+        cands = sigma_candidates(P, tuple(f.chain_length for f in V.flags))
         for alpha in cands:
             for chain in fil_points(V, alpha):
                 L = chain[0]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from parahn.sheaves import (
     full_subbundle,
     laurent_matmul,
     make_subbundle,
+    nonincreasing_tuples,
     poly_det,
     quotient_bundle,
     saturate,
@@ -138,6 +140,30 @@ def test_enumerate_line_count_degree_minus_one():
             W = make_subbundle(E, (-1,), ((col[0],), (col[1],)))
             seen.add((W.col_twists, W.key))
     assert len(subs) == len(seen)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [0],
+        range(2, -3, -1),
+        [5, 1, -1, -4],
+        [Fraction(3, 2), Fraction(1, 3), Fraction(-1, 2), Fraction(-2)],
+    ],
+    ids=["empty", "zero", "range", "ints", "fractions"],
+)
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_nonincreasing_tuples_match_brute_force(values, k):
+    tuples = list(itertools.product(values, repeat=k))
+    totals = {sum(t) for t in tuples} | {-20, 20}
+    for total in totals:
+        expected = [
+            t
+            for t in tuples
+            if sum(t) == total and all(a >= b for a, b in zip(t, t[1:]))
+        ]
+        assert nonincreasing_tuples(values, k, total) == expected
 
 
 # -- containment ----------------------------------------------------------------
