@@ -7,8 +7,12 @@ has sheaf degree at most the sum of the r largest twists, and the parabolic
 correction at each marked point lies strictly between 0 and the rank.  The
 HN filtration is read off the HN polygon, the upper concave envelope of
 (rank, parabolic degree) over all subbundles, found in one pass over the
-windows that can reach it (see hn_filtration).  Enumerations are cached per
-(field, twists, rank, degree) since they do not depend on flags or weights.
+windows that can reach it (see hn_filtration).  Inside that pass degrees are
+D-scaled ints (parabolic.scaled_degree, D the lcm of the weight
+denominators); Fractions appear only per rank and per window (the envelope
+height and the window floor), in the slopes and in the error messages.
+Enumerations are cached per (field, twists, rank, degree) since they do not
+depend on flags or weights.
 
 The finiteness bound sets take their sizes from their inputs: the rank n is
 the length of the datum, and the marked points are counted by num_points
@@ -37,11 +41,11 @@ from .parabolic import (
     ParabolicBundle,
     QuotDatum,
     check_flag_shape,
-    degree_from_datum,
     flag_make,
     full_datum,
     induced_quot_datum,
     parabolic_degree,
+    scaled_degree,
 )
 from .poly import pmap, peval, pnorm
 from .rat import ceil_frac, floor_frac
@@ -152,6 +156,11 @@ def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltrat
     and every subbundle on an edge lies between the steps at its two ends
     (so the steps are nested).
 
+    Heights are D-scaled (scaled_degree), so each subbundle costs one int
+    comparison, deg >= need with need = ceil(height); the window floor
+    still reads the unscaled height, so the windows scanned do not depend
+    on D.
+
     Results are memoized per bundle: every downstream predicate (membership,
     witnesses, semistability) shares one computation.
     """
@@ -162,19 +171,21 @@ def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltrat
     E = V.bundle
     n = E.rank
     npts = len(V.points)
-    top = parabolic_degree(V)
-    best = {0: Fraction(0)}  # rank -> greatest parabolic degree found
-    found = []  # (W, datum, degree) of each subbundle that reached the envelope
+    D = V.scaled_weights[0]
+    top = scaled_degree(V, full_datum(V))
+    best = {0: 0}  # rank -> greatest D-scaled parabolic degree found
+    found = []  # (W, datum, D-scaled degree) of each subbundle that reached the envelope
     for r in range(1, n):
-        height = max(h + (top - h) * (r - s) / (n - s) for s, h in best.items())
+        height = max(h + Fraction((top - h) * (r - s), n - s) for s, h in best.items())
+        need = ceil_frac(height)
         d = sum(E.twists[:r])
-        while d >= _window_floor(height, r, npts):
+        while d >= _window_floor(Fraction(height, D), r, npts):
             for W in _enum(E, r, d, _min_col_twist(E, r, d), budget):
                 theta = induced_quot_datum(V, W)
-                deg = degree_from_datum(V, theta)
-                if deg >= height:
+                deg = scaled_degree(V, theta)
+                if deg >= need:
                     found.append((W, theta, deg))
-                    best[r] = height = deg
+                    best[r] = height = need = deg
             d -= 1
     hull = []  # the polygon's vertices, (0, 0) to (n, top)
     for p in sorted(best.items()) + [(n, top)]:
@@ -195,7 +206,7 @@ def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltrat
         if len(at) != 1:
             raise NonUniqueMaximum(
                 f"{len(at)} distinct subbundles attain the polygon vertex at "
-                f"rank {ranks[j]}, parabolic degree {hull[j][1]}"
+                f"rank {ranks[j]}, parabolic degree {Fraction(hull[j][1], D)}"
             )
         ((W, theta),) = at.values()
         steps.append(W)
@@ -213,7 +224,7 @@ def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltrat
                 f"at ranks {ranks[j - 1]} and {ranks[j]}"
             )
     slopes = tuple(
-        (h1 - h0) / (r1 - r0) for (r0, h0), (r1, h1) in zip(hull, hull[1:])
+        Fraction(h1 - h0, (r1 - r0) * D) for (r0, h0), (r1, h1) in zip(hull, hull[1:])
     )
     filt = HNFiltration(V, tuple(steps[1:]), tuple(data), slopes)
     _FILT_CACHE[cache_key] = filt

@@ -3,12 +3,14 @@
 Flags live in the fiber of the bundle at each marked point (plain subspaces
 of F_q^n in the t-chart frame), weighted by strictly increasing rationals in
 (0, 1).  The parabolic degree of a subbundle is computed from its induced
-flag intersections, so every slope comparison reduces to exact rational
-arithmetic plus small echelon computations.  Each bundle computes, once per
-marked point, the coordinates adapted to its flag (a basis whose first
-dim F_m vectors span F_m, inverted and with its columns reversed); in those
+flag intersections.  Each bundle scales its weights once by D, the lcm of
+their denominators, so scaled_degree gives D times a parabolic degree as an
+int and the HN scan compares degrees without Fraction.  Each flag computes,
+once per field, the coordinates adapted to it (a basis whose first dim F_m
+vectors span F_m, inverted and with its columns reversed); in those
 coordinates a single rref of a subbundle's fiber gives every flag
-intersection dimension from its pivot columns (see induced_quot_datum).
+intersection dimension from its pivot columns, and the flag keeps the jumps
+of every fiber it has seen (see Flag.induced_jumps and induced_quot_datum).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     BadWeights,
@@ -51,6 +54,49 @@ class Flag:
                 tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
             )
         return self.subspaces[m - 1]
+
+    @cached_property
+    def _by_field(self):
+        # field -> (flag-adapted coordinates, {fiber rows: jumps}); a memo,
+        # not a dataclass field, so equality, hash and repr ignore it
+        return {}
+
+    def induced_jumps(self, F, rows):
+        """Jumps of dim(<rows> ∩ F_m) over the members F_m, for fiber rows
+        over F; computed once per (field, rows), see induced_quot_datum."""
+        memo = self._by_field.get(F)
+        if memo is None:
+            memo = self._by_field[F] = (self._adapted_coords(F), {})
+        coords, seen = memo
+        hit = seen.get(rows)
+        if hit is None:
+            _, _, pivots = rref(F, matmul(F, rows, coords))
+            jumps = []
+            hi = sum(self.jumps)
+            for a in self.jumps:
+                jumps.append(sum(1 for p in pivots if hi - a <= p < hi))
+                hi -= a
+            hit = seen[rows] = tuple(jumps)
+        return hit
+
+    def _adapted_coords(self, F):
+        """The n x n matrix over F taking fiber rows to flag-adapted coordinates.
+
+        The adapted basis b_1..b_n lists, in order, the first independent
+        rows among the echelon bases of F_1, F_2, ..., F_N = F_q^n (pivot
+        columns of the rref of their transpose), so b_1..b_{dim F_m} span
+        F_m.  The matrix is that basis's inverse with its columns reversed:
+        row w maps to its coordinates c_n..c_1 in the basis, so w lies in F_m
+        exactly when its image vanishes outside the last dim F_m columns.
+        """
+        n = sum(self.jumps)
+        eye = identity(n)
+        stack = tuple(
+            v for m in range(1, self.chain_length + 1) for v in self.subspace(m, n)
+        )
+        _, _, chosen = rref(F, tuple(zip(*stack)))
+        red, _, _ = rref(F, tuple(stack[i] + eye[k] for k, i in enumerate(chosen)))
+        return tuple(tuple(row[:n - 1:-1]) for row in red)
 
 
 def check_flag_shape(n: int, jumps, members):
@@ -135,28 +181,10 @@ class ParabolicBundle:
         return self.bundle.rank
 
     @cached_property
-    def flag_coords(self):
-        """Per point, the n x n matrix taking fiber rows to flag-adapted coordinates.
-
-        The adapted basis b_1..b_n lists, in order, the first independent
-        rows among the echelon bases of F_1, F_2, ..., F_N = F_q^n (pivot
-        columns of the rref of their transpose), so b_1..b_{dim F_m} span
-        F_m.  The matrix is that basis's inverse with its columns reversed:
-        row w maps to its coordinates c_n..c_1 in the basis, so w lies in F_m
-        exactly when its image vanishes outside the last dim F_m columns.
-        """
-        F = self.field
-        n = self.rank
-        eye = identity(n)
-        out = []
-        for fl in self.flags:
-            stack = tuple(
-                v for m in range(1, fl.chain_length + 1) for v in fl.subspace(m, n)
-            )
-            _, _, chosen = rref(F, tuple(zip(*stack)))
-            red, _, _ = rref(F, tuple(stack[i] + eye[k] for k, i in enumerate(chosen)))
-            out.append(tuple(tuple(row[:n - 1:-1]) for row in red))
-        return tuple(out)
+    def scaled_weights(self):
+        """(D, weights times D as ints), D the lcm of the weight denominators."""
+        D = lcm(*(w.denominator for lam in self.weights for w in lam))
+        return D, tuple(tuple(int(w * D) for w in lam) for lam in self.weights)
 
     def extend_scalars(self, m: int) -> "ParabolicBundle":
         big, embed = self.field.extension(m)
@@ -187,33 +215,29 @@ class QuotDatum:
 def induced_quot_datum(V: ParabolicBundle, W: Subbundle) -> QuotDatum:
     """Invariant of W with its induced flag intersections at each point.
 
-    One rref per point.  Let C be W's fiber rows mapped by V.flag_coords
-    (coordinates in the flag-adapted basis, columns reversed), so that F_m
-    is the set of vectors supported on columns k_m = n - dim F_m .. n - 1.
-    Then dim(W ∩ F_m) is the number of pivot columns of rref(C) that are at
-    least k_m, so the m-th jump counts the pivots in [k_m, k_{m-1}).  Proof: a reduced row with pivot p is zero left of p, so the
-    rows with pivots >= k_m lie in F_m, and they are independent.
-    Conversely, a vector v = sum a_i R_i of the row space has entry a_i at
-    the pivot column p_i of R_i (the other rows are zero there); if v lies
-    in F_m it vanishes left of k_m, so a_i = 0 whenever p_i < k_m, and v
-    is spanned by the rows with pivots >= k_m.  Nothing assumes the flag is
-    complete: a zero jump repeats k_m and gives a zero difference.
+    At each point the jumps depend only on W's fiber rows there and the
+    flag, so Flag.induced_jumps computes them once per (field, fiber rows),
+    with one rref.  Let C be the fiber rows mapped by the flag's adapted
+    coordinates (columns reversed), so that F_m is the set of vectors
+    supported on columns k_m = n - dim F_m .. n - 1.  Then dim(W ∩ F_m) is
+    the number of pivot columns of rref(C) that are at least k_m, so the
+    m-th jump counts the pivots in [k_m, k_{m-1}).  Proof: a reduced row
+    with pivot p is zero left of p, so the rows with pivots >= k_m lie in
+    F_m, and they are independent.  Conversely, a vector v = sum a_i R_i of
+    the row space has entry a_i at the pivot column p_i of R_i (the other
+    rows are zero there); if v lies in F_m it vanishes left of k_m, so
+    a_i = 0 whenever p_i < k_m, and v is spanned by the rows with pivots
+    >= k_m.  Nothing assumes the flag is complete: a zero jump repeats k_m
+    and gives a zero difference.
     """
     if W.bundle != V.bundle:
         raise InvalidSubbundle("subbundle lives in a different ambient bundle")
     F = V.field
-    n = V.rank
-    all_jumps = []
-    for x, fl, coords in zip(V.points, V.flags, V.flag_coords):
-        w_rows = tuple(zip(*W.fiber_matrix(x)))
-        _, _, pivots = rref(F, matmul(F, w_rows, coords))
-        jumps = []
-        hi = n
-        for a in fl.jumps:
-            jumps.append(sum(1 for p in pivots if hi - a <= p < hi))
-            hi -= a
-        all_jumps.append(tuple(jumps))
-    return QuotDatum(W.rank, W.degree, tuple(all_jumps))
+    return QuotDatum(
+        W.rank,
+        W.degree,
+        tuple(fl.induced_jumps(F, W.fiber_rows(x)) for x, fl in zip(V.points, V.flags)),
+    )
 
 
 def full_datum(V: ParabolicBundle) -> QuotDatum:
@@ -221,11 +245,18 @@ def full_datum(V: ParabolicBundle) -> QuotDatum:
     return QuotDatum(V.rank, V.bundle.degree, tuple(fl.jumps for fl in V.flags))
 
 
+def scaled_degree(V: ParabolicBundle, theta: QuotDatum) -> int:
+    """D times the parabolic degree d + sum_x (r - sum_m lambda_m b_m) of
+    theta, D = V.scaled_weights[0], so every term is an int."""
+    D, lams = V.scaled_weights
+    return D * theta.degree + sum(
+        D * theta.rank - sum(l * b for l, b in zip(lam, jumps))
+        for lam, jumps in zip(lams, theta.jumps)
+    )
+
+
 def degree_from_datum(V: ParabolicBundle, theta: QuotDatum) -> Fraction:
-    deg = Fraction(theta.degree)
-    for lam, jumps in zip(V.weights, theta.jumps):
-        deg += theta.rank - sum(l * b for l, b in zip(lam, jumps))
-    return deg
+    return Fraction(scaled_degree(V, theta), V.scaled_weights[0])
 
 
 def parabolic_degree(V: ParabolicBundle, W: Subbundle | None = None) -> Fraction:

@@ -135,6 +135,18 @@ class Subbundle:
         F = self.bundle.field
         return tuple(tuple(peval(F, e, x) for e in row) for row in self.mat)
 
+    @cached_property
+    def _fibers(self):
+        return {}  # point -> fiber rows
+
+    def fiber_rows(self, x: int):
+        """The fiber at x as r rows of length n (fiber_matrix transposed),
+        computed once per point."""
+        hit = self._fibers.get(x)
+        if hit is None:
+            hit = self._fibers[x] = tuple(zip(*self.fiber_matrix(x)))
+        return hit
+
     def contains(self, other: "Subbundle") -> bool:
         """Subsheaf containment: other's columns lie in the generic span."""
         if other.rank == 0:
@@ -347,12 +359,19 @@ def nonincreasing_tuples(values, k: int, total):
 
     A branch is cut as soon as its remaining sum falls outside what the open
     slots can reach: at most the current value in each, at least the last.
+    The last entry is the remaining sum itself, found by one dict lookup.
     """
     low = values[-1] if values else 0
+    index = {v: i for i, v in enumerate(values)}
     out = []
 
     def rec(prefix, start, remaining):
         left = k - len(prefix)
+        if left == 1:  # the remaining sum is the last entry
+            i = index.get(remaining)
+            if i is not None and i >= start:
+                out.append(tuple(prefix) + (values[i],))
+            return
         if left == 0:
             if remaining == 0:
                 out.append(tuple(prefix))

@@ -33,9 +33,9 @@ from parahn.linalg import rank
 from parahn.parabolic import (
     ParabolicBundle,
     QuotDatum,
-    degree_from_datum,
     flag_make,
     parabolic_degree,
+    scaled_degree,
 )
 from parahn.sheaves import SplitBundle, full_subbundle, make_subbundle
 
@@ -123,16 +123,20 @@ def test_filtration_passes_polygon_certificate(V):
 
 
 def test_tied_vertex_raises(monkeypatch):
-    # every degree-0 line of one_point_aligned() gets the aligned line's 3/4
+    # every degree-0 line of one_point_aligned() gets the aligned line's 3/4,
+    # as the hn scan sees it: D-scaled by D = 4 (weights 1/4, 3/4)
+    V = one_point_aligned()
+    assert V.scaled_weights[0] == 4
+
     def tied(V, theta):
         if theta.rank == 1 and theta.degree == 0:
-            return Fraction(3, 4)
-        return degree_from_datum(V, theta)
+            return 3
+        return scaled_degree(V, theta)
 
     monkeypatch.setattr(hn, "_FILT_CACHE", {})
-    monkeypatch.setattr(hn, "degree_from_datum", tied)
-    with pytest.raises(NonUniqueMaximum):
-        hn_filtration(one_point_aligned())
+    monkeypatch.setattr(hn, "scaled_degree", tied)
+    with pytest.raises(NonUniqueMaximum, match="parabolic degree 3/4"):
+        hn_filtration(V)
 
 
 def test_edge_point_outside_the_steps_raises(monkeypatch):
@@ -145,18 +149,19 @@ def test_edge_point_outside_the_steps_raises(monkeypatch):
     V = ParabolicBundle(
         E, (0,), (flag,), ((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),)
     )
+    assert V.scaled_weights[0] == 4  # the degrees below are D-scaled
 
     def skewed(V, theta):
         if theta.rank == 3:
-            return degree_from_datum(V, theta)
+            return scaled_degree(V, theta)
         if theta.degree == 0 and theta.jumps == ((1, 1, 0),):
-            return Fraction(3, 2)
+            return 6  # 3/2
         if theta.degree == 0 and theta.jumps == ((0, 0, 1),):
-            return Fraction(3, 4)
-        return Fraction(-5)
+            return 3  # 3/4
+        return -20  # -5
 
     monkeypatch.setattr(hn, "_FILT_CACHE", {})
-    monkeypatch.setattr(hn, "degree_from_datum", skewed)
+    monkeypatch.setattr(hn, "scaled_degree", skewed)
     with pytest.raises(NonUniqueMaximum, match="escapes"):
         hn_filtration(V)
 
@@ -447,6 +452,18 @@ def test_enumerate_B_rank_one():
     V = ParabolicBundle(SplitBundle(F3, (0,)), (), (), ())
     Q = (Fraction(0),)
     assert enumerate_B(Q, V.weights) == ((Fraction(0),),)
+
+
+def test_enumerate_B_mixed_denominators():
+    # the last slot of each tuple is looked up, not scanned: this call took
+    # seconds while the value list (one entry per lattice point) was scanned
+    got = enumerate_B(
+        (1, Fraction(-1, 2), Fraction(-1, 2)),
+        ((Fraction(1, 5),), (Fraction(1, 4), Fraction(1, 2))),
+    )
+    assert len(got) == 5689
+    assert all(sum(t) == 0 and t[0] >= t[1] >= t[2] for t in got)
+    assert all(isinstance(v, Fraction) for t in got for v in t)
 
 
 def test_enumerate_B_superset_on_fixtures(suite):

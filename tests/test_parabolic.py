@@ -1,10 +1,14 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from parahn.errors import EqualRanks, FieldMismatch, IncompatibleShape, NotNested
+from parahn.gf import field_make
 from parahn.parabolic import (
     ParabolicBundle,
+    QuotDatum,
+    degree_from_datum,
     direct_sum,
     flag_make,
     hom_parabolic,
@@ -13,6 +17,7 @@ from parahn.parabolic import (
     parabolic_slope,
     quotient_parabolic,
     relative_slope,
+    scaled_degree,
     sub_parabolic,
 )
 from parahn.sheaves import (
@@ -62,6 +67,42 @@ def test_parabolic_degree_fixtures():
     W = two_point_aligned()
     assert parabolic_degree(W) == 2
     assert parabolic_slope(W) == 1
+
+
+def random_composition(rng, total, parts):
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))
+
+
+def test_degree_from_datum_matches_definition():
+    # d + sum_x (r - sum_m lambda_m b_m) in Fractions, on weights with mixed
+    # denominators, against the D-scaled int computation
+    rng = random.Random(8)
+    F5 = field_make(5, 1)
+    pool = sorted({Fraction(k, q) for q in (7, 9, 11) for k in range(1, q)})
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        points = tuple(rng.sample(range(5), rng.randint(0, 3)))
+        flags, weights = [], []
+        for _ in points:
+            jumps = random_composition(rng, n, rng.randint(1, n + 1))
+            eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            dims = [sum(jumps[:m]) for m in range(1, len(jumps))]
+            flags.append(flag_make(F5, n, jumps, tuple(tuple(eye[:f]) for f in dims)))
+            weights.append(tuple(sorted(rng.sample(pool, len(jumps)))))
+        V = ParabolicBundle(SplitBundle(F5, (0,) * n), points, tuple(flags), tuple(weights))
+        r = rng.randint(1, n)
+        theta = QuotDatum(
+            r,
+            rng.randint(-5, 5),
+            tuple(random_composition(rng, r, fl.chain_length) for fl in flags),
+        )
+        expected = Fraction(theta.degree) + sum(
+            r - sum(l * b for l, b in zip(lam, jumps))
+            for lam, jumps in zip(V.weights, theta.jumps)
+        )
+        assert degree_from_datum(V, theta) == expected
+        assert scaled_degree(V, theta) == expected * V.scaled_weights[0]
 
 
 def test_degree_sandwich(suite):

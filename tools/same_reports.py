@@ -4,12 +4,13 @@
 
 Each tree is a checkout with its own `bench/` and `src/`.  For seeds 1 and 7
 the script runs, in both trees, every cli-mix item (`bench/workloads.py`
-`cli_items`) as a `python -m parahn.cli` process and every hn-ladder item
-(`ladder_slots`) through `bench/worker.py rung`.  It prints each output that
-differs between the trees, apart from the CLI's `timing_ms` and the worker's
-`seconds`, and exits 1 if any does.  Exit codes are compared too.  The input
-documents come from the after tree's `bench/workloads.py`; items run one at a
-time.
+`cli_items`) as a `python -m parahn.cli` process, every hn-ladder item
+(`ladder_slots`) through `bench/worker.py rung`, and the stratify-sweep pass
+through `bench/worker.py stratify`.  It prints each output that differs
+between the trees, apart from the CLI's `timing_ms` and the worker's
+`seconds` (of the sweep it compares the `digest` and the `problems`), and
+exits 1 if any does.  Exit codes are compared too.  The input documents come
+from the after tree's `bench/workloads.py`; items run one at a time.
 """
 
 from __future__ import annotations
@@ -49,14 +50,21 @@ def cli_output(tree: Path, cmd: str, path: Path, extra) -> tuple:
     return code, stable(out)
 
 
-def rung_output(tree: Path, seed: int, rung: str, slot: int) -> tuple:
-    code, out = run(tree, ["bench/worker.py", "rung", str(seed), rung, str(slot)])
+def worker_output(tree: Path, *args, keep=None) -> tuple:
+    """A `bench/worker.py` result without its `seconds`, or only its `keep` keys."""
+    code, out = run(tree, ["bench/worker.py", *map(str, args)])
     lines = out.strip().splitlines()
     if code != 0 or not lines:
         return code, out
     result = json.loads(lines[-1])
     result.pop("seconds", None)
+    if keep:
+        result = {k: result[k] for k in keep}
     return code, json.dumps(result, sort_keys=True)
+
+
+def stratify_output(tree: Path, seed: int) -> tuple:
+    return worker_output(tree, "stratify", seed, keep=("digest", "problems"))
 
 
 def main(argv=None):
@@ -77,8 +85,9 @@ def main(argv=None):
                 path.write_text(json.dumps(doc), encoding="utf-8")
                 jobs.append((f"cli-mix seed {seed} {name}", cli_output, (cmd, path, extra)))
             for rung, slot in workloads.ladder_slots():
-                jobs.append((f"hn-ladder seed {seed} {rung}.{slot}", rung_output,
-                             (seed, rung, slot)))
+                jobs.append((f"hn-ladder seed {seed} {rung}.{slot}", worker_output,
+                             ("rung", seed, rung, slot)))
+            jobs.append((f"stratify-sweep seed {seed}", stratify_output, (seed,)))
             for label, fn, fn_args in jobs:
                 old, new = fn(before, *fn_args), fn(after, *fn_args)
                 compared += 1
