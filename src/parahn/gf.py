@@ -3,6 +3,10 @@
 Elements are plain ints in [0, p^k): the coefficient vector (c_0, ..., c_{k-1})
 of the residue class mod the field's modulus, packed base p as
 c_0 + c_1*p + ... .  All arithmetic goes through the owning GF instance.
+A proper extension is F_p[x]/(f), built with poly's kernels over the prime
+field field_make(p, 1): products are pmul then pdivmod by f, irreducibility
+is Ben-Or's gcd test, and embeddings evaluate with peval.  Prime-field codes
+0..p-1 mean the same element in every field of characteristic p.
 
 Fields with at most _TABLE_MAX = 256 elements precompute dense add, sub, mul,
 neg and inv tables, so each of those element operations is one lookup.  Bulk
@@ -14,9 +18,12 @@ lookups, so linalg and poly never see a table and have one copy of each
 kernel.  Larger fields have no tables; there the row primitives fall back to
 the element methods, which work on coefficient vectors.
 
-The modulus of a proper extension is pinned to the lexicographically smallest
-monic irreducible (coefficients compared low-to-high), making serialized data
-portable across runs and machines.
+The modulus of a proper extension is pinned, so serialized data is portable
+across runs and machines: it is the monic irreducible x^k + c_{k-1} x^{k-1}
++ ... + c_0 whose lower coefficients have the smallest code c_0 + c_1 p + ...
++ c_{k-1} p^(k-1), the code of an element.  For F_8 that is x^3 + x + 1,
+(1, 1, 0, 1) low-to-high, not the low-to-high lexicographic minimum
+x^3 + x^2 + 1.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import FieldMismatch, InvalidDegree, NotPrime
+from .poly import pdivmod, peval, pgcd, pmul, psub
 
 _TABLE_MAX = 256  # fields up to this order get dense op tables
 
@@ -43,111 +51,39 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _fp_poly_mulmod(a, b, mod, p):
-    """Product of coefficient tuples a*b reduced mod (mod, p); mod is monic."""
-    k = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * mod[j]) % p
-    out = prod[:k] if len(prod) > k else prod + [0] * (k - len(prod))
-    return tuple(x % p for x in out[:k]) if k else ()
+def _mulmod(Fp: GF, a, b, f):
+    """a * b mod f, for polynomials over the prime field Fp."""
+    return pdivmod(Fp, pmul(Fp, a, b), f)[1]
 
 
-def _fp_poly_powmod(base, e, mod, p):
-    k = len(mod) - 1
-    acc = tuple([1] + [0] * (k - 1))
-    cur = base
-    while e:
-        if e & 1:
-            acc = _fp_poly_mulmod(acc, cur, mod, p)
-        cur = _fp_poly_mulmod(cur, cur, mod, p)
-        e >>= 1
-    return acc
-
-
-def _fp_gcd(a, b, p):
-    """Monic gcd of coefficient tuples over F_p (trailing zeros stripped)."""
-
-    def norm(v):
-        v = list(v)
-        while v and v[-1] % p == 0:
-            v.pop()
-        return [x % p for x in v]
-
-    a, b = norm(a), norm(b)
-    while b:
-        inv = pow(b[-1], p - 2, p)
-        db, da = len(b) - 1, len(a) - 1
-        while da >= db and a:
-            coef = a[-1] * inv % p
-            shift = da - db
-            for i, bi in enumerate(b):
-                a[i + shift] = (a[i + shift] - coef * bi) % p
-            a = norm(a)
-            da = len(a) - 1
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [x * inv % p for x in a]
-    return tuple(a)
-
-
-def _is_irreducible(coeffs, p):
-    """Rabin test for a monic polynomial given as a full coefficient tuple."""
-    k = len(coeffs) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    # x^(p^k) == x mod f, and gcd(x^(p^(k/d)) - x, f) == 1 for prime d | k
-    target = (0, 1) + (0,) * (k - 2)
-    xq = _fp_poly_powmod(target, p ** k, coeffs, p)
-    if xq != target:
-        return False
-    d = 2
-    kk = k
-    prime_divs = set()
-    while d * d <= kk:
-        if kk % d == 0:
-            prime_divs.add(d)
-            while kk % d == 0:
-                kk //= d
-        d += 1
-    if kk > 1:
-        prime_divs.add(kk)
-    for d in prime_divs:
-        e = k // d
-        xe = _fp_poly_powmod((0, 1) + (0,) * (k - 2), p ** e, coeffs, p)
-        diff = tuple((a - b) % p for a, b in zip(xe, target))
-        if _fp_gcd(diff, coeffs, p) != (1,):
+def _is_irreducible(Fp: GF, f) -> bool:
+    """Ben-Or's test for a monic f of degree k over Fp: f is irreducible iff
+    gcd(x^(p^i) - x, f) = 1 for 1 <= i <= k/2, since x^(p^i) - x is the
+    product of the monic irreducibles whose degree divides i."""
+    x = xpi = (0, 1)
+    for _ in range((len(f) - 1) // 2):
+        acc, base, e = (1,), xpi, Fp.p  # xpi <- xpi^p mod f
+        while e:
+            if e & 1:
+                acc = _mulmod(Fp, acc, base, f)
+            base = _mulmod(Fp, base, base, f)
+            e >>= 1
+        xpi = acc
+        if pgcd(Fp, psub(Fp, xpi, x), f) != (1,):
             return False
     return True
 
 
-def _smallest_irreducible(p: int, k: int):
-    """Lex-smallest monic irreducible of degree k, low-to-high comparison."""
-    lower = [0] * k
-    while True:
-        cand = tuple(lower) + (1,)
-        if _is_irreducible(cand, p):
-            return cand
-        i = 0
-        while i < k:
-            lower[i] += 1
-            if lower[i] < p:
-                break
-            lower[i] = 0
-            i += 1
-        else:  # pragma: no cover - an irreducible always exists
-            raise AssertionError("no irreducible polynomial found")
+def _smallest_irreducible(Fp: GF, k: int):
+    """The monic irreducible x^k + c_{k-1} x^{k-1} + ... + c_0 over F_p whose
+    lower coefficients have the smallest code c_0 + c_1 p + ... + c_{k-1}
+    p^(k-1), so c_0 varies fastest: x^3 + x + 1 = (1, 1, 0, 1) for F_8."""
+    p = Fp.p
+    for code in range(p ** k):
+        f = tuple(code // p ** i % p for i in range(k)) + (1,)
+        if _is_irreducible(Fp, f):
+            return f
+    raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
 class GF:
@@ -161,7 +97,8 @@ class GF:
         self.p = p
         self.k = k
         self.q = p ** k
-        self.modulus = None if k == 1 else _smallest_irreducible(p, k)
+        self._fp = None if k == 1 else field_make(p, 1)
+        self.modulus = None if k == 1 else _smallest_irreducible(self._fp, k)
         self._add = self._sub = self._mul = self._neg = self._inv = None
         if self.q <= _TABLE_MAX:
             self._build_tables()
@@ -205,7 +142,7 @@ class GF:
                 for a in range(q)
             ]
             self._mul = [
-                [self.encode(_fp_poly_mulmod(vecs[a], vecs[b], self.modulus, p)) for b in range(q)]
+                [self.encode(_mulmod(self._fp, vecs[a], vecs[b], self.modulus)) for b in range(q)]
                 for a in range(q)
             ]
             self._neg = [self.encode((-x) % p for x in vecs[a]) for a in range(q)]
@@ -237,9 +174,7 @@ class GF:
             return self._mul[a][b]
         if self.k == 1:
             return a * b % self.p
-        return self.encode(
-            _fp_poly_mulmod(self.coeffs(a), self.coeffs(b), self.modulus, self.p)
-        )
+        return self.encode(_mulmod(self._fp, self.coeffs(a), self.coeffs(b), self.modulus))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -364,37 +299,10 @@ class GF:
         big = field_make(self.p, self.k * m)
         if self.k == 1:
             return big, lambda a: a  # constants keep their codes
-        root = _modulus_root(self, big)
-        powers = [1]
-        for _ in range(self.k - 1):
-            powers.append(big.mul(powers[-1], root))
-        small = self
-
-        def embed(a: int) -> int:
-            acc = 0
-            for c, rp in zip(small.coeffs(a), powers):
-                if c:
-                    acc = big.add(acc, big.mul(_embed_prime(big, c), rp))
-            return acc
-
-        return big, embed
-
-
-def _embed_prime(field: GF, c: int) -> int:
-    # prime-subfield constants have codes 0..p-1 in any of our encodings
-    return c % field.p
-
-
-def _modulus_root(small: GF, big: GF) -> int:
-    """Smallest-code root of small.modulus inside big (deterministic)."""
-    mod = small.modulus
-    for cand in range(big.q):
-        acc = 0
-        for c in reversed(mod):
-            acc = big.add(big.mul(acc, cand), _embed_prime(big, c))
-        if acc == 0:
-            return cand
-    raise AssertionError("modulus has no root in the extension")  # pragma: no cover
+        # prime-field codes 0..p-1 are the same in every field, so the
+        # coefficients of the modulus and of a are already codes in big
+        root = next(x for x in big.elements() if peval(big, self.modulus, x) == 0)
+        return big, lambda a: peval(big, self.coeffs(a), root)
 
 
 @lru_cache(maxsize=None)

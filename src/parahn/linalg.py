@@ -59,9 +59,7 @@ def rank(F: GF, rows) -> int:
 def kernel_basis(F: GF, rows, ncols=None):
     """Canonical basis of the right kernel {v : rows @ v = 0}."""
     if not rows:
-        return tuple(
-            tuple(1 if j == i else 0 for j in range(ncols or 0)) for i in range(ncols or 0)
-        )
+        return identity(ncols or 0)
     n = ncols if ncols is not None else len(rows[0])
     red, rk, pivots = rref(F, rows)
     piv = set(pivots)

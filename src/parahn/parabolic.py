@@ -50,9 +50,7 @@ class Flag:
         if m == 0:
             return ()
         if m == len(self.jumps):
-            return tuple(
-                tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-            )
+            return identity(n)
         return self.subspaces[m - 1]
 
     @cached_property
@@ -91,9 +89,7 @@ class Flag:
         """
         n = sum(self.jumps)
         eye = identity(n)
-        stack = tuple(
-            v for m in range(1, self.chain_length + 1) for v in self.subspace(m, n)
-        )
+        stack = tuple(v for rows in self.subspaces for v in rows) + eye  # F_N = F_q^n
         _, _, chosen = rref(F, tuple(zip(*stack)))
         red, _, _ = rref(F, tuple(stack[i] + eye[k] for k, i in enumerate(chosen)))
         return tuple(tuple(row[:n - 1:-1]) for row in red)
@@ -170,6 +166,8 @@ class ParabolicBundle:
             self.field.check_element(x)
         for fl, lam in zip(self.flags, self.weights):
             check_flag_shape(self.rank, fl.jumps, fl.subspaces)
+            for c in (c for rows in fl.subspaces for row in rows for c in row):
+                self.field.check_element(c)
             check_weights(fl.jumps, lam)
 
     @property
@@ -284,13 +282,6 @@ def relative_slope(V: ParabolicBundle, U: Subbundle, W: Subbundle) -> Fraction:
     return (parabolic_degree(V, W) - parabolic_degree(V, U)) / (W.rank - U.rank)
 
 
-def _annihilator(F, rows, n):
-    """Row basis of the functionals vanishing on the given row space."""
-    if not rows:
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return kernel_basis(F, rows, ncols=n)
-
-
 def sub_parabolic(V: ParabolicBundle, W: Subbundle) -> ParabolicBundle:
     """W as a parabolic bundle in its own right, with the induced flags."""
     if W.rank == 0:
@@ -305,7 +296,7 @@ def sub_parabolic(V: ParabolicBundle, W: Subbundle) -> ParabolicBundle:
         spaces = []
         dims = [0]
         for m in range(1, fl.chain_length):
-            ann = _annihilator(F, fl.subspace(m, n), n)
+            ann = kernel_basis(F, fl.subspace(m, n), ncols=n)
             constraint = matmul(F, ann, fiber)
             pre = kernel_basis(F, constraint, ncols=r)
             red, rk, _ = rref(F, pre)
@@ -374,7 +365,7 @@ def hom_parabolic(A: ParabolicBundle, B: ParabolicBundle):
         powers = [F.pow(x, e) for e in range(max(s[2] for s in slots) + 1)]
         for m in range(1, fa.chain_length):
             za = fa.subspace(m, nA)
-            ann = _annihilator(F, fb.subspace(m, nB), nB)
+            ann = kernel_basis(F, fb.subspace(m, nB), ncols=nB)
             for u in za:
                 for z in ann:
                     row = []

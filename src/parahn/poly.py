@@ -2,7 +2,10 @@
 
 Engine code works on bare coefficient tuples (low-to-high, no trailing zeros;
 the zero polynomial is the empty tuple) with the field passed explicitly; the
-thin PolyGF wrapper carries its field for the public gcd contract.  Laurent
+thin PolyGF wrapper carries its field for the public gcd contract.  The field
+is any object with GF's element methods and row primitives, so poly imports
+no field module at run time (gf builds its extension fields on poly's
+kernels over the prime field, and imports poly).  Laurent
 polynomials, needed by the two-chart bundle calculus, are (valuation, coeffs)
 pairs with the same normalization.
 
@@ -19,9 +22,12 @@ cut an hn-ladder r4_f2 item from about 8.5 s to 6.8 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import FieldMismatch
-from .gf import GF
+
+if TYPE_CHECKING:
+    from .gf import GF
 
 MINUS_INF = float("-inf")
 

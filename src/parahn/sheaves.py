@@ -37,7 +37,6 @@ from .poly import (
     lfrom_poly,
     lis_zero,
     lmonomial,
-    lmul,
     lnorm,
     lscale,
     lval,
@@ -642,39 +641,24 @@ class TransitionBundle:
             raise ShapeMismatch("transition matrix shape mismatch")
 
 
+def _laurent_split(rows):
+    """(s, P) with rows = t^s * P: s is the least valuation of an entry (0 if
+    every entry is zero) and P is a polynomial matrix."""
+    s = min((e[0] for row in rows for e in row if e[1]), default=0)
+    return s, [[pshift(e[1], e[0] - s) for e in row] for row in rows]
+
+
 def laurent_det(F: GF, rows):
-    n = len(rows)
-    if n == 0:
-        return lfrom_poly((1,))
-    if n == 1:
-        return rows[0][0]
-    acc = (0, ())
-    for j in range(n):
-        if lis_zero(rows[0][j]):
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = lmul(F, rows[0][j], laurent_det(F, minor))
-        if j % 2 == 1:
-            term = lscale(F, term, F.neg(1))
-        acc = ladd(F, acc, term)
-    return acc
+    """det(t^s P) = t^(ns) det P, by poly_det's cofactor expansion."""
+    s, P = _laurent_split(rows)
+    return lnorm(len(rows) * s, poly_det(F, P))
 
 
 def laurent_matmul(F: GF, a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = (0, ())
-            for l in range(k):
-                if not lis_zero(a[i][l]) and not lis_zero(b[l][j]):
-                    acc = ladd(F, acc, lmul(F, a[i][l], b[l][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """(t^s P)(t^u Q) = t^(s+u) PQ, by poly_matmul."""
+    s, P = _laurent_split(a)
+    u, Q = _laurent_split(b)
+    return tuple(tuple(lnorm(s + u, e) for e in row) for row in poly_matmul(F, P, Q))
 
 
 def birkhoff_factorize(T: TransitionBundle):

@@ -125,7 +125,12 @@ SMALL_FIELDS = [
 
 
 def untabled(p, k):
-    """F_{p^k} built directly, bypassing field_make's cache, with no op tables."""
+    """F_{p^k} built directly, bypassing field_make's cache, with no op tables.
+
+    An extension field takes its prime field from field_make, which caches
+    it; that prime field is made first, with its tables, so the cache never
+    keeps an F_p built while _TABLE_MAX is 0."""
+    gf.field_make(p, 1)
     saved = gf._TABLE_MAX
     gf._TABLE_MAX = 0
     try:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from parahn.errors import InvalidDegree, NotPrime
-from parahn.gf import GF, field_make
+from parahn.gf import GF, field_make, is_prime
 
 from oracles import SMALL_FIELDS, untabled
 
@@ -17,6 +17,54 @@ def test_prime_field_has_no_modulus():
 def test_f4_modulus_is_the_unique_irreducible_quadratic():
     F = field_make(2, 2)
     assert F.modulus == (1, 1, 1)  # x^2 + x + 1, low-to-high
+
+
+# the modulus of every extension field with q <= 1024, as serialized data
+# carries it: the monic irreducible whose lower coefficients c_0, ..., c_{k-1}
+# have the smallest code c_0 + c_1 p + ... (so x^3 + x + 1 for F_8)
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (2, 0, 1),
+    (17, 2): (3, 0, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (29, 2): (2, 0, 1),
+    (31, 2): (1, 0, 1),
+}
+
+
+def test_moduli_of_every_extension_field_up_to_1024_are_pinned():
+    fields = [
+        (p, k) for p in range(2, 32) if is_prime(p) for k in range(2, 11) if p ** k <= 1024
+    ]
+    assert sorted(fields) == sorted(PINNED_MODULI)
+    for p, k in fields:  # untabled: the modulus without the table build
+        assert untabled(p, k).modulus == PINNED_MODULI[p, k], (p, k)
+
+
+def test_untabled_leaves_the_cached_prime_field_tabled():
+    # no other test uses characteristic 251, so F_251 is first made here
+    assert untabled(251, 2)._mul is None
+    assert field_make(251, 1)._mul is not None
 
 
 def test_composite_characteristic_rejected():

@@ -51,6 +51,14 @@ def test_flag_entries_must_be_field_elements():
         flag_make(F2, 2, (1, 1), (((1, 5),),))
 
 
+def test_flag_over_a_bigger_field_is_rejected_by_the_bundle():
+    flag = flag_make(field_make(3, 2), 2, (1, 1), (((1, 5),),))
+    with pytest.raises(FieldMismatch, match=r"element 5 outside \[0, 3\)"):
+        ParabolicBundle(
+            SplitBundle(F3, (0, 0)), (0,), (flag,), ((Fraction(1, 4), Fraction(3, 4)),)
+        )
+
+
 def test_induced_datum_alignment():
     V = one_point_aligned()
     E = V.bundle

@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,7 @@ from parahn.sheaves import (
     SplitBundle,
     TransitionBundle,
     birkhoff_factorize,
+    enumerate_candidate_count,
     enumerate_subbundles,
     full_subbundle,
     laurent_matmul,
@@ -140,6 +143,63 @@ def test_enumerate_line_count_degree_minus_one():
             W = make_subbundle(E, (-1,), ((col[0],), (col[1],)))
             seen.add((W.col_twists, W.key))
     assert len(subs) == len(seen)
+
+
+# -- closed-form counts -------------------------------------------------------
+
+
+def _load_bench_oracles():
+    """bench/oracles.py, loaded by its path: closed-form counts that share no
+    code with parahn."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+COUNTS = _load_bench_oracles()
+COUNT_FIELDS = {2: F2, 3: F3, 4: field_make(2, 2), 5: F5}
+MAX_CANDIDATES = 6_000  # keeps the windows below to about 2 s in all
+
+
+def _small(E, r, d, min_col_twist):
+    return enumerate_candidate_count(E, r, d, min_col_twist) <= MAX_CANDIDATES
+
+
+GRASSMANNIAN_WINDOWS = [
+    (q, n, r)
+    for q, F in COUNT_FIELDS.items()
+    for n in range(1, 5)
+    for r in range(1, n + 1)
+    if _small(bundle(F, *(0,) * n), r, 0, 0)
+]
+LINE_WINDOWS = [
+    (q, twists, d)
+    for q, F in COUNT_FIELDS.items()
+    for twists in ((0, 0, 0), (1, 0, -1), (1, 0))
+    for d in range(max(twists), -3, -1)
+    if _small(bundle(F, *twists), 1, d, d)
+]
+
+
+@pytest.mark.parametrize("q,n,r", GRASSMANNIAN_WINDOWS)
+def test_degree_zero_window_of_trivial_bundle_counts_grassmannian(q, n, r):
+    # a degree-0 subbundle of O^n is a constant subspace of F_q^n
+    E = bundle(COUNT_FIELDS[q], *(0,) * n)
+    assert len(enumerate_subbundles(E, r, 0, 0)) == COUNTS.gaussian_binomial(n, r, q)
+
+
+@pytest.mark.parametrize("q,twists,d", LINE_WINDOWS, ids=[str(w) for w in LINE_WINDOWS])
+def test_line_window_matches_moebius_count(q, twists, d):
+    E = bundle(COUNT_FIELDS[q], *twists)
+    assert len(enumerate_subbundles(E, 1, d, d)) == COUNTS.line_subbundle_count(twists, q, d)
+
+
+def test_count_windows_reach_rank_two_and_negative_degrees():
+    assert {q for q, _, r in GRASSMANNIAN_WINDOWS if r >= 2} == set(COUNT_FIELDS)
+    assert {q for q, _, d in LINE_WINDOWS if d == -1} == set(COUNT_FIELDS)
+    assert {q for q, _, d in LINE_WINDOWS if d == -2} == {2, 3, 4}
 
 
 @pytest.mark.parametrize(
