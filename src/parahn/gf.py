@@ -137,14 +137,16 @@ class GF:
             self._neg = [(-a) % p for a in range(p)]
         else:
             vecs = [self.coeffs(a) for a in range(q)]
-            self._add = [
-                [self.encode((x + y) % p for x, y in zip(vecs[a], vecs[b])) for b in range(q)]
-                for a in range(q)
-            ]
-            self._mul = [
-                [self.encode(_mulmod(self._fp, vecs[a], vecs[b], self.modulus)) for b in range(q)]
-                for a in range(q)
-            ]
+            add, mul = [[0] * q for _ in range(q)], [[0] * q for _ in range(q)]
+            for a in range(q):  # each unordered pair once, then mirrored
+                for b in range(a, q):
+                    add[a][b] = add[b][a] = self.encode(
+                        (x + y) % p for x, y in zip(vecs[a], vecs[b])
+                    )
+                    mul[a][b] = mul[b][a] = self.encode(
+                        _mulmod(self._fp, vecs[a], vecs[b], self.modulus)
+                    )
+            self._add, self._mul = add, mul
             self._neg = [self.encode((-x) % p for x in vecs[a]) for a in range(q)]
         neg = self._neg
         self._sub = [[row[neg[b]] for b in range(q)] for row in self._add]

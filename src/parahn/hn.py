@@ -7,12 +7,15 @@ has sheaf degree at most the sum of the r largest twists, and the parabolic
 correction at each marked point lies strictly between 0 and the rank.  The
 HN filtration is read off the HN polygon, the upper concave envelope of
 (rank, parabolic degree) over all subbundles, found in one pass over the
-windows that can reach it (see hn_filtration).  Inside that pass degrees are
-D-scaled ints (parabolic.scaled_degree, D the lcm of the weight
-denominators); Fractions appear only per rank and per window (the envelope
-height and the window floor), in the slopes and in the error messages.
-Enumerations are cached per (field, twists, rank, degree) since they do not
-depend on flags or weights.
+windows that can reach it (see hn_filtration).  Inside that pass degrees,
+the envelope and the window bounds are D-scaled ints (parabolic.scaled_degree,
+D the lcm of the weight denominators); Fractions appear only in the slopes
+and in the error messages.  Enumerations are cached per (field, twists,
+rank, degree) since they do not depend on flags or weights; each cached
+window also keeps, per (point, flag), the induced jumps of all its
+subbundles, so a sweep over flag tuples reads a window's degrees off that
+memo and builds an induced datum only for the subbundles that reach the
+envelope.
 
 The finiteness bound sets take their sizes from their inputs: the rank n is
 the length of the datum, and the marked points are counted by num_points
@@ -28,6 +31,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     BudgetExceeded,
@@ -64,34 +68,44 @@ _ENUM_CACHE: dict = {}
 
 
 def _enum(E: SplitBundle, r: int, d: int, min_tw: int, budget: int):
-    """Cached window; a hit still raises BudgetExceeded past the budget."""
+    """Cached window; a hit still raises BudgetExceeded past the budget.
+
+    Next to its subbundles each window keeps a memo, filled by
+    _window_degrees: (point, flag) -> every subbundle's induced jumps.
+    """
     key = (E.field.key(), E.twists, r, d, min_tw)
     hit = _ENUM_CACHE.get(key)
     if hit is None:
         subs = enumerate_subbundles(E, r, d, min_tw, budget)
-        hit = _ENUM_CACHE[key] = (enumerate_candidate_count(E, r, d, min_tw), subs)
-    count, subs = hit
+        hit = _ENUM_CACHE[key] = (enumerate_candidate_count(E, r, d, min_tw), subs, {})
+    count, subs, _ = hit
     if count > budget:
         raise BudgetExceeded(count, budget)
     return subs
 
 
+def _window_degrees(V: ParabolicBundle, r: int, d: int, min_tw: int) -> list:
+    """D-scaled parabolic degrees of the subbundles of a window _enum has
+    cached, in its order: D*(d + r*|I|) minus lambda.b at each point, b a
+    subbundle's induced jumps there.  The jumps come from the window's memo,
+    so each (point, flag) costs one pass of Flag.induced_jumps per window,
+    however many bundles share it."""
+    E = V.bundle
+    F = E.field
+    _, subs, memo = _ENUM_CACHE[(F.key(), E.twists, r, d, min_tw)]
+    D, lams = V.scaled_weights
+    degs = [D * (d + r * len(V.points))] * len(subs)
+    for x, fl, lam in zip(V.points, V.flags, lams):
+        jumps = memo.get((x, fl))
+        if jumps is None:
+            jumps = memo[x, fl] = tuple(fl.induced_jumps(F, W.fiber_rows(x)) for W in subs)
+        degs = [g - sum(map(mul, lam, b)) for g, b in zip(degs, jumps)]
+    return degs
+
+
 def _min_col_twist(E: SplitBundle, r: int, d: int) -> int:
     # any nonincreasing twist vector summing to d has entries >= d - (r-1)*a_1
     return d - (r - 1) * max(E.twists)
-
-
-def _window_floor(height: Fraction, r: int, npts: int) -> int:
-    """Least sheaf degree of a rank-r window that can hold a subbundle of
-    parabolic degree at least height.
-
-    The marked-point correction lies strictly inside (0, r*npts), so with at
-    least one point the sheaf degree must exceed height - r*npts; with none
-    it must reach height.
-    """
-    if npts > 0:
-        return floor_frac(height - r * npts) + 1
-    return ceil_frac(height)
 
 
 @dataclass(frozen=True)
@@ -156,10 +170,17 @@ def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltrat
     and every subbundle on an edge lies between the steps at its two ends
     (so the steps are nested).
 
-    Heights are D-scaled (scaled_degree), so each subbundle costs one int
-    comparison, deg >= need with need = ceil(height); the window floor
-    still reads the unscaled height, so the windows scanned do not depend
-    on D.
+    Degrees and heights are D-scaled ints (scaled_degree, D the lcm of the
+    weight denominators).  At rank r the envelope's height is bounded by
+    two ints, lo = floor(height) and need = ceil(height), each the max over
+    the points (s, h) found so far of h plus the floor (or ceiling) of
+    (top - h)(r - s)/(n - s).  The marked-point correction of a rank-r
+    subbundle lies strictly inside (0, D*r*|I|), so a window of sheaf
+    degree d can reach the envelope only if D*(d + r*|I|) > lo, or, with
+    no marked points, D*d >= need; these are the windows of the unscaled
+    bound, so they do not depend on D.  A window's degrees come from its
+    memo of induced jumps (_window_degrees), and a subbundle reaches the
+    envelope when deg >= need; only those get an induced datum.
 
     Results are memoized per bundle: every downstream predicate (membership,
     witnesses, semistability) shares one computation.
@@ -176,16 +197,17 @@ def hn_filtration(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> HNFiltrat
     best = {0: 0}  # rank -> greatest D-scaled parabolic degree found
     found = []  # (W, datum, D-scaled degree) of each subbundle that reached the envelope
     for r in range(1, n):
-        height = max(h + Fraction((top - h) * (r - s), n - s) for s, h in best.items())
-        need = ceil_frac(height)
+        # floor and ceiling of the envelope's height at rank r
+        lo = max(h + (top - h) * (r - s) // (n - s) for s, h in best.items())
+        need = max(h - (h - top) * (r - s) // (n - s) for s, h in best.items())
         d = sum(E.twists[:r])
-        while d >= _window_floor(Fraction(height, D), r, npts):
-            for W in _enum(E, r, d, _min_col_twist(E, r, d), budget):
-                theta = induced_quot_datum(V, W)
-                deg = scaled_degree(V, theta)
+        while (D * (d + r * npts) > lo) if npts else (D * d >= need):
+            min_tw = _min_col_twist(E, r, d)
+            subs = _enum(E, r, d, min_tw, budget)
+            for W, deg in zip(subs, _window_degrees(V, r, d, min_tw)):
                 if deg >= need:
-                    found.append((W, theta, deg))
-                    best[r] = height = need = deg
+                    found.append((W, induced_quot_datum(V, W), deg))
+                    best[r] = lo = need = deg
             d -= 1
     hull = []  # the polygon's vertices, (0, 0) to (n, top)
     for p in sorted(best.items()) + [(n, top)]:

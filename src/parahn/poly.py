@@ -240,12 +240,6 @@ def ladd(F: GF, a, b):
     return lnorm(lo, out)
 
 
-def lmul(F: GF, a, b):
-    if lis_zero(a) or lis_zero(b):
-        return (0, ())
-    return lnorm(a[0] + b[0], pmul(F, a[1], b[1]))
-
-
 def lscale(F: GF, a, c: int):
     if c == 0:
         return (0, ())

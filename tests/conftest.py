@@ -6,6 +6,7 @@ import pytest
 
 from parahn.gf import field_make
 from parahn.parabolic import ParabolicBundle, flag_make
+from parahn.poly import ladd, lnorm
 from parahn.sheaves import SplitBundle
 
 F2 = field_make(2, 1)
@@ -42,6 +43,14 @@ def two_point_aligned(field=F3):
 def two_point_generic(field=F3):
     """Two marked points, transverse flags: semistable."""
     return make_rank2(field, (0, 0), (0, 1), ((1, 0), (1, 1)), ((1, 4), (3, 4)))
+
+
+def add_row_multiple(F, rows, i, j, c, e):
+    """rows[i] += c t^e rows[j] on a square matrix of Laurent polynomials,
+    an elementary operation on transition matrices (c nonzero)."""
+    for b in range(len(rows)):
+        lo, coeffs = rows[j][b]
+        rows[i][b] = ladd(F, rows[i][b], lnorm(lo + e, F.row_scale(coeffs, c)))
 
 
 WEIGHT_GRID = (((1, 4), (3, 4)), ((1, 3), (2, 3)), ((1, 5), (2, 5)))

@@ -48,6 +48,7 @@ from parahn.theta import one_step, wt_chi, wt_combined, wt_det, chi_pairing, is_
 
 from conftest import (
     F3,
+    add_row_multiple,
     make_rank2,
     one_point_aligned,
     rank2_suite,
@@ -313,10 +314,7 @@ def test_criterion_11_structural_round_trips():
                 continue
             c = rng.randrange(1, F.q)
             e = rng.randint(-2, 2)
-            from parahn.poly import ladd, lmul
-
-            for b in range(m):
-                rows[i][b] = ladd(F, rows[i][b], lmul(F, lmonomial(c, e), rows[j][b]))
+            add_row_multiple(F, rows, i, j, c, e)
         T = TransitionBundle(F, m, tuple(tuple(row) for row in rows))
         twists, a_plus, a_minus = birkhoff_factorize(T)
         diag = tuple(

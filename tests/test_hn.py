@@ -34,8 +34,8 @@ from parahn.parabolic import (
     ParabolicBundle,
     QuotDatum,
     flag_make,
+    induced_quot_datum,
     parabolic_degree,
-    scaled_degree,
 )
 from parahn.sheaves import SplitBundle, full_subbundle, make_subbundle
 
@@ -122,19 +122,32 @@ def test_filtration_passes_polygon_certificate(V):
     assert polygon_certificate(V, hn_filtration(V)) > 0
 
 
+def skew_window_degrees(monkeypatch, degree):
+    """Make hn_filtration read degree(theta) as the D-scaled degree of each
+    scanned subbundle with datum theta, or its true degree where that
+    returns None."""
+    true_degrees = hn._window_degrees
+
+    def skewed(V, r, d, min_tw):
+        subs = hn._enum(V.bundle, r, d, min_tw, budget=10**6)
+        out = []
+        for W, g in zip(subs, true_degrees(V, r, d, min_tw)):
+            s = degree(induced_quot_datum(V, W))
+            out.append(g if s is None else s)
+        return out
+
+    monkeypatch.setattr(hn, "_FILT_CACHE", {})
+    monkeypatch.setattr(hn, "_window_degrees", skewed)
+
+
 def test_tied_vertex_raises(monkeypatch):
     # every degree-0 line of one_point_aligned() gets the aligned line's 3/4,
     # as the hn scan sees it: D-scaled by D = 4 (weights 1/4, 3/4)
     V = one_point_aligned()
     assert V.scaled_weights[0] == 4
-
-    def tied(V, theta):
-        if theta.rank == 1 and theta.degree == 0:
-            return 3
-        return scaled_degree(V, theta)
-
-    monkeypatch.setattr(hn, "_FILT_CACHE", {})
-    monkeypatch.setattr(hn, "scaled_degree", tied)
+    skew_window_degrees(
+        monkeypatch, lambda theta: 3 if (theta.rank, theta.degree) == (1, 0) else None
+    )
     with pytest.raises(NonUniqueMaximum, match="parabolic degree 3/4"):
         hn_filtration(V)
 
@@ -151,17 +164,14 @@ def test_edge_point_outside_the_steps_raises(monkeypatch):
     )
     assert V.scaled_weights[0] == 4  # the degrees below are D-scaled
 
-    def skewed(V, theta):
-        if theta.rank == 3:
-            return scaled_degree(V, theta)
+    def skewed(theta):
         if theta.degree == 0 and theta.jumps == ((1, 1, 0),):
             return 6  # 3/2
         if theta.degree == 0 and theta.jumps == ((0, 0, 1),):
             return 3  # 3/4
         return -20  # -5
 
-    monkeypatch.setattr(hn, "_FILT_CACHE", {})
-    monkeypatch.setattr(hn, "scaled_degree", skewed)
+    skew_window_degrees(monkeypatch, skewed)
     with pytest.raises(NonUniqueMaximum, match="escapes"):
         hn_filtration(V)
 
@@ -197,6 +207,114 @@ def test_rank_one_always_semistable():
 def test_classical_datum_of_split_bundle_is_sorted_twists():
     V = ParabolicBundle(SplitBundle(F3, (1, 0, -1)), (), (), ())
     assert hn_datum(hn_filtration(V)) == (1, 0, -1)
+
+
+# -- scanned windows and the warm window memo -----------------------------------
+
+
+QUARTERS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+FIFTHS = (Fraction(1, 5), Fraction(2, 5), Fraction(4, 5))
+F2_FLAG = flag_make(F2, 3, (1, 1, 1), (((1, 0, 0),), ((1, 0, 0), (0, 1, 0))))
+F2_FLAG_B = flag_make(F2, 3, (1, 1, 1), (((1, 0, 0),), ((1, 0, 0), (0, 0, 1))))
+
+
+def window_cases():
+    """(bundle, the (r, d, min_col_twist) of every window hn_filtration
+    scans on it, in order, its HN datum)."""
+    sixths = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    g = flag_make(F3, 3, (1, 1, 1), (((1, 1, 0),), ((1, 1, 0), (0, 1, 1))))
+    h = flag_make(F3, 3, (1, 1, 1), (((0, 1, 2),), ((0, 1, 2), (1, 0, 1))))
+    upper = flag_make(F2, 3, (2, 1), (((1, 0, 0), (0, 1, 1)),))
+    lower = flag_make(F2, 3, (1, 2), (((1, 1, 1),),))
+    return [
+        pytest.param(  # a stratify-sweep flag pair: O^3 over F_2, two points
+            ParabolicBundle(
+                SplitBundle(F2, (0, 0, 0)), (0, 1), (F2_FLAG, F2_FLAG_B), (QUARTERS,) * 2
+            ),
+            [(1, 0, 0), (2, 0, 0), (2, -1, -1)],
+            (Fraction(3, 2), Fraction(3, 4), Fraction(3, 4)),
+            id="stratify-pair",
+        ),
+        pytest.param(  # no marked points: the windows reach ceil(height)
+            ParabolicBundle(SplitBundle(F2, (1, 0, 0, -1)), (), (), ()),
+            [(1, 1, 1), (2, 1, 0), (3, 1, -1)],
+            (1, 0, 0, -1),
+            id="no-points",
+        ),
+        pytest.param(  # D = 6, D-scaled pardeg 12: past the rank-1 vertex
+            # at 7, the rank-2 height is 7 + 5/2 until the scan finds 11
+            ParabolicBundle(SplitBundle(F3, (0, 0, -1)), (0, 2), (g, h), (sixths,) * 2),
+            [(1, 0, 0), (2, 0, 0), (2, -1, -1), (2, -2, -2)],
+            (Fraction(7, 6), Fraction(2, 3), Fraction(1, 6)),
+            id="fractional-height",
+        ),
+        pytest.param(  # partial flags with jumps (2, 1) and (1, 2)
+            ParabolicBundle(
+                SplitBundle(F2, (1, 0, -1)),
+                (0, 1),
+                (upper, lower),
+                ((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 4), Fraction(1, 2))),
+            ),
+            [(1, 1, 1), (2, 1, 0), (2, 0, -1)],
+            (Fraction(13, 6), Fraction(5, 6), Fraction(5, 12)),
+            id="partial-flags",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("V, windows, datum", window_cases())
+def test_scanned_windows(monkeypatch, V, windows, datum):
+    calls = []
+    enum = hn._enum
+
+    def spy(E, r, d, min_tw, budget):
+        calls.append((r, d, min_tw))
+        return enum(E, r, d, min_tw, budget)
+
+    monkeypatch.setattr(hn, "_ENUM_CACHE", {})
+    monkeypatch.setattr(hn, "_FILT_CACHE", {})
+    monkeypatch.setattr(hn, "_enum", spy)
+    assert hn_datum(hn_filtration(V)) == datum
+    assert calls == windows
+
+
+def filtration_key(filt):
+    return (tuple(W.sort_key() for W in filt.steps), filt.step_data, filt.slopes)
+
+
+def test_warm_sweep_matches_cold_runs(monkeypatch):
+    # the same Flag objects at both points, in both orders and alone at
+    # either point, under two weight vectors, on O^3 and on O(1)+O+O (whose
+    # degree-0 lines have different fibers at the two points), then the
+    # one-point bundles over F_4, where the extended flags equal the F_2
+    # ones: the window memo, keyed by (point, flag), is shared across the
+    # sweep, and each warm result must also pass the polygon oracle
+    A = F2_FLAG
+    C = flag_make(F2, 3, (1, 1, 1), (((0, 1, 0),), ((0, 1, 0), (0, 0, 1))))
+    sweep = []
+    for twists in ((0, 0, 0), (1, 0, 0)):
+        for lam in (QUARTERS, FIFTHS):
+            for points, flags in (
+                ((0, 1), (A, C)),
+                ((0, 1), (C, A)),
+                ((0, 1), (C, C)),
+                ((0,), (C,)),
+                ((1,), (C,)),
+            ):
+                sweep.append(
+                    ParabolicBundle(
+                        SplitBundle(F2, twists), points, flags, (lam,) * len(points)
+                    )
+                )
+    sweep += [V.extend_scalars(2) for V in sweep[:10] if len(V.points) == 1]
+    monkeypatch.setattr(hn, "_ENUM_CACHE", {})
+    monkeypatch.setattr(hn, "_FILT_CACHE", {})
+    warm = [hn_filtration(V) for V in sweep]
+    for V, filt in zip(sweep, warm):
+        assert polygon_certificate(V, filt) > 0
+        monkeypatch.setattr(hn, "_ENUM_CACHE", {})
+        monkeypatch.setattr(hn, "_FILT_CACHE", {})
+        assert filtration_key(filt) == filtration_key(hn_filtration(V))
 
 
 @pytest.mark.parametrize("warm_first", [False, True])

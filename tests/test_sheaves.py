@@ -37,6 +37,8 @@ from parahn.sheaves import (
     zero_subbundle,
 )
 
+from conftest import add_row_multiple
+
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
 F5 = field_make(5, 1)
@@ -484,11 +486,7 @@ def test_birkhoff_random_products():
                     continue
                 c = rng.randrange(1, F.q)
                 e = rng.randint(-2, 2)
-                from parahn.poly import ladd, lmul
-
-                add = lmul(F, lmonomial(c, e), rows[j][0] if False else (0, (1,)))
-                for b in range(m):
-                    rows[i][b] = ladd(F, rows[i][b], lmul(F, lmonomial(c, e), rows[j][b]))
+                add_row_multiple(F, rows, i, j, c, e)
             T = TransitionBundle(F, m, tuple(tuple(r) for r in rows))
             _assert_birkhoff(F, T)
 
