@@ -8,16 +8,25 @@ mere subsheaf) exactly when the r x r minors have unit gcd and some minor
 attains its maximal homogeneous degree, i.e. the columns stay independent at
 every point of the projective line over the algebraic closure.
 
+The maximal minors are built one column at a time: the k x k minors of the
+first k columns extend to the (k+1) x (k+1) minors by one Laplace expansion
+along the next column, k+1 products per minor and no cofactor recursion.
+subbundle_validate and the enumerator share that expansion and one
+saturation test on its result.
+
 Identity of subbundles is identity of subsheaves: the canonical key is the
 reduced echelon basis of a twisted section space, so presentations related by
-column operations collapse to one object.
+column operations collapse to one object.  Within one vector of column
+twists the enumerator tells subbundles apart by their maximal minors scaled
+so the first nonzero one is monic, and computes the canonical key only for
+the subbundles it returns.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from .errors import (
     BudgetExceeded,
@@ -283,30 +292,87 @@ def _check_shape(E: SplitBundle, col_twists, mat):
                 )
 
 
+@cache
+def _laplace_plan(n: int, k: int):
+    """How the (k+1)-row minors of k+1 columns expand along the last column.
+
+    One entry per (k+1)-subset S of range(n), in combinations order: a
+    triple (j, i, neg) per row j of S, where i indexes S - {j} among the
+    k-subsets in combinations order and neg says the cofactor sign
+    (-1)^(p+k) of j's position p in S is negative.
+    """
+    index = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
+    return tuple(
+        tuple((j, index[S[:p] + S[p + 1:]], (p + k) % 2 == 1) for p, j in enumerate(S))
+        for S in itertools.combinations(range(n), k + 1)
+    )
+
+
+def _extend_minors(F: GF, minors, col, plan):
+    """The (k+1)-row minors of a prefix of k columns followed by col, from
+    the prefix's k-row minors: k+1 products each, by Laplace expansion
+    along col."""
+    out = []
+    for terms in plan:
+        acc = ()
+        for j, i, neg in terms:
+            c = col[j]
+            m = minors[i]
+            if c and m:
+                acc = psub(F, acc, pmul(F, c, m)) if neg else padd(F, acc, pmul(F, c, m))
+        out.append(acc)
+    return out
+
+
+def _full_degrees(E: SplitBundle, col_twists):
+    """Per r-subset S of rows, in combinations order, the degree bound
+    sum_{j in S} a_j - sum_k d_k of the minor on S."""
+    dsum = sum(col_twists)
+    return tuple(
+        sum(E.twists[j] for j in S) - dsum
+        for S in itertools.combinations(range(E.rank), len(col_twists))
+    )
+
+
+def _saturated(F: GF, minors, full_degrees) -> bool:
+    """The saturation test on the maximal minors of a presentation: their
+    gcd is 1 (the columns stay independent at every finite point) and some
+    minor reaches its degree bound (they stay independent at infinity).
+    Stops as soon as both hold."""
+    g = ()
+    lead_ok = False
+    for m, full in zip(minors, full_degrees):
+        if not m:
+            continue
+        if len(m) - 1 == full:
+            lead_ok = True
+        if g != (1,):
+            g = pgcd(F, g, m)
+        if g == (1,) and lead_ok:
+            return True
+    return False
+
+
+def _maximal_minors(F: GF, n: int, cols):
+    """The r x r minors of the n x r matrix with the given columns, one per
+    r-subset of rows in combinations order, built one column at a time."""
+    minors = ((1,),)  # the empty minor
+    for k, col in enumerate(cols):
+        minors = _extend_minors(F, minors, col, _laplace_plan(n, k))
+    return minors
+
+
 def subbundle_validate(E: SplitBundle, col_twists, mat) -> bool:
-    """True iff the presentation defines a subbundle (torsion-free cokernel)."""
+    """True iff the presentation defines a subbundle (torsion-free cokernel):
+    its maximal minors, built by prefix Laplace passes, pass _saturated."""
     col_twists = tuple(col_twists)
     mat = tuple(tuple(pnorm(e) for e in row) for row in mat)
     _check_shape(E, col_twists, mat)
-    r = len(col_twists)
-    if r == 0:
+    if not col_twists:
         return True
-    F = E.field
-    n = E.rank
-    dsum = sum(col_twists)
-    g = ()
-    lead_ok = False
-    for rows_idx in itertools.combinations(range(n), r):
-        minor = poly_det(F, [mat[j] for j in rows_idx])
-        if not minor:
-            continue
-        full_deg = sum(E.twists[j] for j in rows_idx) - dsum
-        if pdeg(minor) == full_deg:
-            lead_ok = True
-        g = pgcd(F, g, minor)
-        if g == (1,) and lead_ok:
-            return True
-    return g == (1,) and lead_ok
+    cols = tuple(zip(*mat))
+    minors = _maximal_minors(E.field, E.rank, cols)
+    return _saturated(E.field, minors, _full_degrees(E, col_twists))
 
 
 def make_subbundle(E: SplitBundle, col_twists, mat) -> Subbundle:
@@ -395,24 +461,29 @@ def _column_slots(E: SplitBundle, d_k: int):
     ]
 
 
-def _column_candidates(F: GF, slots):
-    """All nonzero coefficient fills, first nonzero coefficient pinned to 1.
+def _column_candidates(F: GF, n: int, slots):
+    """All nonzero columns with the given free slots, as n-tuples of
+    polynomials, first nonzero coefficient pinned to 1.
 
     Scaling a column never changes the subsheaf, so one representative per
-    scalar class is enough.  Yields tuples of polynomials, one per slot.
+    scalar class is enough.  A generator: a rank-1 window streams its one
+    column list.
     """
     total = sum(s for _, s in slots)
     q = F.q
     splits = []
     acc = 0
-    for _, s in slots:
-        splits.append((acc, acc + s))
+    for j, s in slots:
+        splits.append((j, acc, acc + s))
         acc += s
     for lead in range(total):
         tail = total - lead - 1
         for rest in itertools.product(range(q), repeat=tail):
             flat = (0,) * lead + (1,) + rest
-            yield tuple(pnorm(flat[a:b]) for a, b in splits)
+            col = [()] * n
+            for j, a, b in splits:
+                col[j] = pnorm(flat[a:b])
+            yield tuple(col)
 
 
 def _count_column_candidates(q: int, slots) -> int:
@@ -432,20 +503,40 @@ def enumerate_candidate_count(E: SplitBundle, r: int, d: int, min_col_twist: int
     return count
 
 
-def _validate_line(F: GF, E: SplitBundle, d1: int, col) -> bool:
-    """Fast subbundle test for rank 1: unit gcd plus exact degree somewhere."""
-    g = ()
-    lead_ok = False
-    for j in range(E.rank):
-        e = col[j]
-        if not e:
-            continue
-        if pdeg(e) == E.twists[j] - d1:
-            lead_ok = True
-        g = pgcd(F, g, e)
-        if g == (1,) and lead_ok:
-            return True
-    return g == (1,) and lead_ok
+def _saturated_choices(F: GF, E: SplitBundle, vec, cands):
+    """(maximal minors, columns) of every choice of one candidate column per
+    twist in vec that presents a subbundle, in itertools.product(*cands)
+    order.
+
+    A depth-first walk keeps the k x k minors of the chosen prefix and
+    extends them by one Laplace pass per new column.  A prefix whose minors
+    all vanish has dependent columns, so nothing under it validates and its
+    whole subtree is skipped.
+    """
+    n, r = E.rank, len(vec)
+    plans = [_laplace_plan(n, k) for k in range(r)]
+    full = _full_degrees(E, vec)
+
+    def walk(k, minors, prefix):
+        plan = plans[k]
+        for col in cands[k]:
+            ext = _extend_minors(F, minors, col, plan)
+            if k + 1 < r:
+                if any(ext):
+                    yield from walk(k + 1, ext, prefix + (col,))
+            elif _saturated(F, ext, full):
+                yield ext, prefix + (col,)
+
+    return walk(0, ((1,),), ())
+
+
+def _minor_key(F: GF, minors):
+    """The maximal minors scaled so the first nonzero one is monic."""
+    lead = next(m for m in minors if m)[-1]
+    if lead == 1:
+        return tuple(minors)
+    inv = F.inv(lead)
+    return tuple(pscale(F, m, inv) for m in minors)
 
 
 def enumerate_subbundles(
@@ -460,12 +551,33 @@ def enumerate_subbundles(
     Column twists range over nonincreasing vectors in [min_col_twist, a_1]
     summing to d; the result is sorted by canonical key.
 
+    Each column ranges over the nonzero fills of its degree bounds with the
+    first nonzero coefficient 1.  At rank 1 the column is its own minors:
+    it is tested for saturation and, pinned, is its own key.  At higher rank
+    a depth-first walk over the column lists, in itertools.product order,
+    keeps the minors of the chosen prefix, extends them by one Laplace pass
+    per column, and skips the subtree of a prefix whose minors all vanish
+    (its columns are dependent).  At a leaf the r x r minors in hand give
+    the saturation test (unit gcd, and some minor at its full degree
+    sum_S a_j - sum_k d_k) and the key: the minors scaled so the first
+    nonzero one is monic.  Only the subbundles kept become Subbundle objects
+    and get a canonical key, for the final sort.
+
+    The minor key identifies subsheaves within one twist vector.  Two
+    presentations M, M' of one subbundle with equal column twists are two
+    isomorphisms from O(d_1) + ... + O(d_r) onto it, so M' = M A for an
+    automorphism A of that sum; det A is a global function on the line,
+    a nonzero constant, and the minors of M' are det A times those of M.
+    Conversely, proportional minor (Plucker) vectors have the same generic
+    column span, and both presentations are saturated, so they give the
+    same subsheaf.
+
     Which presentation stands for a subsheaf: at rank 1 it has exactly one
-    candidate, the column scaled so its first nonzero coefficient is 1.  At
-    higher rank several candidates of one twist vector can share a key, and
-    the last validated one in column-product order is kept, since each
-    overwrites the one before it in `found`.  Reports print these matrices,
-    so another enumeration order must keep them or change the reports.
+    candidate.  At higher rank several candidates of one twist vector can
+    share a key, and the last validated one in column-product order is
+    kept, since each overwrites the one before it in `found`.  Reports
+    print these matrices, so another enumeration order must keep them or
+    change the reports.
     """
     n = E.rank
     E.check_subbundle_rank(r)
@@ -475,34 +587,20 @@ def enumerate_subbundles(
     if count > budget:
         raise BudgetExceeded(count, budget)
     F = E.field
-    found = {}
+    found = {}  # (twist vector, key) -> columns
     twists = range(max(E.twists), min_col_twist - 1, -1)
     for vec in nonincreasing_tuples(twists, r, d):
-        slot_lists = [_column_slots(E, dk) for dk in vec]
         if r == 1:
-            slots = slot_lists[0]
-            for fill in _column_candidates(F, slots):
-                col = [()] * n
-                for (j, _), p in zip(slots, fill):
-                    col[j] = p
-                if not _validate_line(F, E, vec[0], col):
-                    continue
-                mat = tuple((col[j],) for j in range(n))
-                found[(vec, mat)] = Subbundle(E, vec, mat)
+            full = _full_degrees(E, vec)
+            for col in _column_candidates(F, n, _column_slots(E, vec[0])):
+                if _saturated(F, col, full):
+                    found[(vec, col)] = (col,)
             continue
-        for fills in itertools.product(
-            *[list(_column_candidates(F, sl)) for sl in slot_lists]
-        ):
-            mat = [[()] * r for _ in range(n)]
-            for k, (sl, fill) in enumerate(zip(slot_lists, fills)):
-                for (j, _), p in zip(sl, fill):
-                    mat[j][k] = p
-            mat = tuple(tuple(row) for row in mat)
-            if not subbundle_validate(E, vec, mat):
-                continue
-            W = Subbundle(E, vec, mat)
-            found[(vec, W.key)] = W
-    return tuple(sorted(found.values(), key=Subbundle.sort_key))
+        cands = [list(_column_candidates(F, n, _column_slots(E, dk))) for dk in vec]
+        for minors, cols in _saturated_choices(F, E, vec, cands):
+            found[(vec, _minor_key(F, minors))] = cols
+    subs = [Subbundle(E, vec, tuple(zip(*cols))) for (vec, _), cols in found.items()]
+    return tuple(sorted(subs, key=Subbundle.sort_key))
 
 
 # -- Smith normal form ---------------------------------------------------------

@@ -14,19 +14,26 @@ induced_jumps_reference recomputes the induced flag jumps of a subbundle
 the direct way, one intersect_dim per flag member, without the engine's
 flag-adapted coordinates.
 
+reference_enumerate is the enumerator the engine had before prefix minors:
+every candidate matrix in column-product order, validated by cofactor
+minors, and one subbundle per canonical key, the last validated
+presentation of each kept.  reference_validate is its validation test.
+
 SMALL_FIELDS lists every field with q <= 27, prime and extension.  untabled()
 builds a small field the way fields above 256 elements are built, without op
 tables, so the kernels' element-method fallback can be checked against the
 table path on the same inputs.
 """
 
+import itertools
 from fractions import Fraction
 
 import parahn.gf as gf
 from parahn.linalg import intersect_dim
 from parahn.parabolic import parabolic_degree
 from parahn.rat import ceil_frac, floor_frac
-from parahn.sheaves import enumerate_subbundles
+from parahn.poly import pdeg, pgcd, pnorm
+from parahn.sheaves import Subbundle, enumerate_subbundles, poly_det
 
 
 def rank2_oracle(V):
@@ -113,6 +120,61 @@ def induced_jumps_reference(V, W):
         ]
         out.append(tuple(b - a for a, b in zip(dims, dims[1:])))
     return tuple(out)
+
+
+def reference_validate(E, col_twists, mat):
+    """Cofactor test: the r x r minors have unit gcd and one of them reaches
+    its full degree sum_S a_j - sum_k d_k.  Assumes the degree bounds hold."""
+    r = len(col_twists)
+    if r == 0:
+        return True
+    g, lead_ok = (), False
+    for S in itertools.combinations(range(E.rank), r):
+        minor = poly_det(E.field, [mat[j] for j in S])
+        if minor:
+            lead_ok |= pdeg(minor) == sum(E.twists[j] for j in S) - sum(col_twists)
+            g = pgcd(E.field, g, minor)
+    return g == (1,) and lead_ok
+
+
+def _reference_columns(E, d_k):
+    """Nonzero columns of twist d_k, first nonzero coefficient 1, in the
+    order of the coefficient vectors: leading zeros, the 1, then the rest
+    counting up in base q."""
+    slots = [(j, a - d_k + 1) for j, a in enumerate(E.twists) if a >= d_k]
+    total = sum(s for _, s in slots)
+    for lead in range(total):
+        for rest in itertools.product(range(E.field.q), repeat=total - lead - 1):
+            flat = (0,) * lead + (1,) + rest
+            col, at = [()] * E.rank, 0
+            for j, s in slots:
+                col[j] = pnorm(flat[at:at + s])
+                at += s
+            yield tuple(col)
+
+
+def reference_presentations(E, r, d, min_col_twist):
+    """Every validated candidate (twist vector, matrix) of the window, in
+    column-product order within each twist vector."""
+    twists = range(E.twists[0], min_col_twist - 1, -1)
+    for vec in itertools.product(twists, repeat=r):
+        if sum(vec) != d or any(a < b for a, b in zip(vec, vec[1:])):
+            continue
+        lists = [list(_reference_columns(E, dk)) for dk in vec]
+        for cols in itertools.product(*lists):
+            mat = tuple(zip(*cols))
+            if reference_validate(E, vec, mat):
+                yield vec, mat
+
+
+def reference_enumerate(E, r, d, min_col_twist):
+    """The window's subbundles, sorted like enumerate_subbundles; each keeps
+    the last validated presentation of its canonical key."""
+    found = {}
+    for vec, mat in reference_presentations(E, r, d, min_col_twist):
+        W = Subbundle(E, vec, mat)
+        found[(vec, W.key)] = W
+    return sorted(found.values(), key=Subbundle.sort_key)
 
 
 # every field with q <= 27: the primes, and F_4, F_8, F_9, F_16, F_25, F_27

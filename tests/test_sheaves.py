@@ -11,6 +11,7 @@ from parahn.gf import field_make
 from parahn.poly import (
     lfrom_poly,
     lmonomial,
+    padd,
     pdeg,
     pdivmod,
     pmul,
@@ -35,12 +36,16 @@ from parahn.sheaves import (
     smith_form,
     subbundle_validate,
     zero_subbundle,
+    _maximal_minors,
+    _minor_key,
 )
 
 from conftest import add_row_multiple
+from oracles import reference_enumerate, reference_presentations, reference_validate
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
+F4 = field_make(2, 2)
 F5 = field_make(5, 1)
 
 
@@ -66,6 +71,49 @@ def test_coprime_column_with_infinity_check():
     assert subbundle_validate(E, (-1,), (((0, 1),), ((1,),)))
     # constant column of twist -1 fails at infinity: minors never reach full degree
     assert not subbundle_validate(E, (-1,), (((1,),), ((1,),)))
+
+
+# columns of twists (0, -1) in O^3: e_1 and a column of degree <= 1
+RANK2_CASES = {
+    "valid": ((1,), (0, 1), (1,)),
+    "gcd-t": ((1,), (0, 1), ()),  # minors (t, 0, 0): common zero at t = 0
+    "gcd-t+1": ((1,), (1, 1), ()),  # minors (t + 1, 0, 0): common zero at -1
+    "lead-fails": ((1,), (1,), (1,)),  # unit gcd, no minor of degree 1
+    "dependent": ((1,), (), ()),  # every minor vanishes
+}
+
+
+@pytest.mark.parametrize("name", RANK2_CASES)
+def test_rank2_validation_cases_match_cofactor_oracle(name):
+    E = bundle(F3, 0, 0, 0)
+    col = RANK2_CASES[name]
+    mat = (((1,), col[0]), ((), col[1]), ((), col[2]))
+    assert subbundle_validate(E, (0, -1), mat) == reference_validate(E, (0, -1), mat)
+    assert subbundle_validate(E, (0, -1), mat) == (name == "valid")
+
+
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["F2", "F3", "F4"])
+@pytest.mark.parametrize(
+    "twists,col_twists",
+    [((0, 0, 0), (0, -1)), ((1, 0, -1), (0, -1)), ((1, 0, -1), (1, 0, -1)),
+     ((0, 0, 0, 0), (0, -1, -1)), ((0, 0, 0, 0), (-1, -1))],
+)
+def test_random_validation_matches_cofactor_oracle(field, twists, col_twists):
+    rng = random.Random(f"{field.q} {twists} {col_twists}")
+    E = bundle(field, *twists)
+    verdicts = set()
+    for _ in range(150):
+        mat = tuple(
+            tuple(
+                pnorm(rng.randrange(field.q) for _ in range(max(0, a - dk + 1)))
+                for dk in col_twists
+            )
+            for a in twists
+        )
+        ok = subbundle_validate(E, col_twists, mat)
+        assert ok == reference_validate(E, col_twists, mat), mat
+        verdicts.add(ok)
+    assert verdicts == {True, False}
 
 
 # -- canonical keys -------------------------------------------------------------
@@ -145,6 +193,96 @@ def test_enumerate_line_count_degree_minus_one():
             W = make_subbundle(E, (-1,), ((col[0],), (col[1],)))
             seen.add((W.col_twists, W.key))
     assert len(subs) == len(seen)
+
+
+def _window_grid():
+    """O^3 and O(1)+O+O(-1) over F_2, F_3, F_4 and O^4 over F_2, ranks 1-3,
+    from the top degree down while a window has at most 6,000 candidates."""
+    grid = []
+    shapes = [(F, tw) for F in (F2, F3, F4) for tw in ((0, 0, 0), (1, 0, -1))]
+    for F, twists in shapes + [(F2, (0, 0, 0, 0))]:
+        E = bundle(F, *twists)
+        for r in (1, 2, 3):
+            d = sum(twists[:r])
+            while enumerate_candidate_count(E, r, d, d - (r - 1) * twists[0]) <= 6_000:
+                grid.append((F.q, twists, r, d))
+                d -= 1
+    return grid
+
+
+REFERENCE_WINDOWS = _window_grid()
+FIELD_OF = {2: F2, 3: F3, 4: F4}
+
+
+@pytest.mark.parametrize(
+    "q,twists,r,d", REFERENCE_WINDOWS, ids=[str(w) for w in REFERENCE_WINDOWS]
+)
+def test_enumeration_matches_reference_enumerator(q, twists, r, d):
+    # the same subbundles in the same order, each with the same presentation
+    E = bundle(FIELD_OF[q], *twists)
+    min_col_twist = d - (r - 1) * twists[0]
+    got = enumerate_subbundles(E, r, d, min_col_twist)
+    want = reference_enumerate(E, r, d, min_col_twist)
+    assert [(W.col_twists, W.mat) for W in got] == [(W.col_twists, W.mat) for W in want]
+
+
+def test_reference_grid_reaches_every_shape_and_negative_degrees():
+    assert len(REFERENCE_WINDOWS) >= 40
+    assert {(q, r) for q, tw, r, d in REFERENCE_WINDOWS if d < sum(tw[:r])} >= {
+        (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)
+    }
+
+
+def _minor_key_of(E, mat):
+    return _minor_key(E.field, _maximal_minors(E.field, E.rank, tuple(zip(*mat))))
+
+
+def _random_automorphism(rng, F, col_twists, mat):
+    """mat times a random automorphism of O(d_1) + ... + O(d_r): a nonzero
+    scaling of each column, then col_i += p(t) col_j with deg p <= d_j - d_i."""
+    cols = [list(c) for c in zip(*mat)]
+    r = len(cols)
+    for i in range(r):
+        u = rng.randrange(1, F.q)
+        cols[i] = [pscale(F, e, u) for e in cols[i]]
+    for _ in range(3):
+        i, j = rng.sample(range(r), 2)
+        gap = col_twists[j] - col_twists[i]
+        if gap < 0:
+            continue
+        p = pnorm(rng.randrange(F.q) for _ in range(gap + 1))
+        cols[i] = [padd(F, a, pmul(F, p, b)) for a, b in zip(cols[i], cols[j])]
+    return tuple(zip(*cols))
+
+
+AUTO_WINDOWS = [(F2, (0, 0, 0, 0), 2, -1), (F3, (1, 0, -1), 2, 0), (F3, (0, 0, 0), 2, -1),
+                (F4, (1, 0, -1), 2, 0), (F3, (1, 0, -1), 2, -1), (F2, (0, 0, 0, 0), 3, 0)]
+AUTO_IDS = [f"F{F.q}-{twists}-r{r}-d{d}" for F, twists, r, d in AUTO_WINDOWS]
+
+
+@pytest.mark.parametrize("F,twists,r,d", AUTO_WINDOWS, ids=AUTO_IDS)
+def test_minor_key_is_invariant_under_automorphisms(F, twists, r, d):
+    rng = random.Random(r * 100 + d)
+    E = bundle(F, *twists)
+    for W in enumerate_subbundles(E, r, d, d - (r - 1) * twists[0])[:60]:
+        key = _minor_key_of(E, W.mat)
+        for _ in range(4):
+            mat = _random_automorphism(rng, F, W.col_twists, W.mat)
+            assert subbundle_validate(E, W.col_twists, mat)
+            assert _minor_key_of(E, mat) == key
+            assert make_subbundle(E, W.col_twists, mat).key == W.key
+
+
+@pytest.mark.parametrize("F,twists,r,d", AUTO_WINDOWS[:4], ids=AUTO_IDS[:4])
+def test_minor_keys_match_canonical_keys_over_a_window(F, twists, r, d):
+    # every validated presentation of the window: equal minor keys exactly
+    # when equal canonical keys
+    E = bundle(F, *twists)
+    pairs = {
+        (vec, _minor_key_of(E, mat), make_subbundle(E, vec, mat).key)
+        for vec, mat in reference_presentations(E, r, d, d - (r - 1) * twists[0])
+    }
+    assert len({(v, m) for v, m, _ in pairs}) == len({(v, c) for v, _, c in pairs}) == len(pairs)
 
 
 # -- closed-form counts -------------------------------------------------------
