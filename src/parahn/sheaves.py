@@ -12,14 +12,18 @@ The maximal minors are built one column at a time: the k x k minors of the
 first k columns extend to the (k+1) x (k+1) minors by one Laplace expansion
 along the next column, k+1 products per minor and no cofactor recursion.
 subbundle_validate and the enumerator share that expansion and one
-saturation test on its result.
+saturation test on its result.  The enumerator expands only its column
+prefixes that way: once the prefix is fixed, the maximal minors are
+F_q-linear in the last column's coefficients, so each last column updates
+the flattened minors of the one before it by a row_addmul or two.
 
 Identity of subbundles is identity of subsheaves: the canonical key is the
 reduced echelon basis of a twisted section space, so presentations related by
 column operations collapse to one object.  Within one vector of column
-twists the enumerator tells subbundles apart by their maximal minors scaled
-so the first nonzero one is monic, and computes the canonical key only for
-the subbundles it returns.
+twists the enumerator tells subbundles apart by their flattened maximal
+minors scaled so the first nonzero coefficient is 1, tests saturation once
+per such key (proportional minors pass or fail together), and computes the
+canonical key only for the subbundles it returns.
 """
 
 from __future__ import annotations
@@ -461,29 +465,31 @@ def _column_slots(E: SplitBundle, d_k: int):
     ]
 
 
+def _column(n: int, slots, flat):
+    """The column, as an n-tuple of polynomials, whose free slots hold the
+    coefficient vector flat, slot by slot, low degree first."""
+    col = [()] * n
+    at = 0
+    for j, s in slots:
+        col[j] = pnorm(flat[at:at + s])
+        at += s
+    return tuple(col)
+
+
 def _column_candidates(F: GF, n: int, slots):
     """All nonzero columns with the given free slots, as n-tuples of
     polynomials, first nonzero coefficient pinned to 1.
 
     Scaling a column never changes the subsheaf, so one representative per
-    scalar class is enough.  A generator: a rank-1 window streams its one
-    column list.
+    scalar class is enough.  The order is that of the coefficient vectors:
+    the position of the leading 1, then the rest counting up in base q with
+    the last coefficient fastest, the order _saturated_choices walks the last
+    column in.  A generator: a rank-1 window streams its one column list.
     """
     total = sum(s for _, s in slots)
-    q = F.q
-    splits = []
-    acc = 0
-    for j, s in slots:
-        splits.append((j, acc, acc + s))
-        acc += s
     for lead in range(total):
-        tail = total - lead - 1
-        for rest in itertools.product(range(q), repeat=tail):
-            flat = (0,) * lead + (1,) + rest
-            col = [()] * n
-            for j, a, b in splits:
-                col[j] = pnorm(flat[a:b])
-            yield tuple(col)
+        for rest in itertools.product(range(F.q), repeat=total - lead - 1):
+            yield _column(n, slots, (0,) * lead + (1,) + rest)
 
 
 def _count_column_candidates(q: int, slots) -> int:
@@ -503,40 +509,131 @@ def enumerate_candidate_count(E: SplitBundle, r: int, d: int, min_col_twist: int
     return count
 
 
-def _saturated_choices(F: GF, E: SplitBundle, vec, cands):
-    """(maximal minors, columns) of every choice of one candidate column per
-    twist in vec that presents a subbundle, in itertools.product(*cands)
-    order.
+def _minor_offsets(full_degrees):
+    """The layout of the flattened maximal minors: the minor on the s-th
+    row subset fills the full_degrees[s] + 1 coefficients from offsets[s]
+    on, low degree first (none if its bound is negative: it vanishes), and
+    offsets[-1] is the length."""
+    offsets = [0]
+    for f in full_degrees:
+        offsets.append(offsets[-1] + max(0, f + 1))
+    return offsets
 
-    A depth-first walk keeps the k x k minors of the chosen prefix and
-    extends them by one Laplace pass per new column.  A prefix whose minors
-    all vanish has dependent columns, so nothing under it validates and its
-    whole subtree is skipped.
+
+def _minor_key(F: GF, flat):
+    """The flattened maximal minors scaled so the first nonzero coefficient
+    is 1, or None if every minor vanishes."""
+    lead = next(filter(None, flat), 0)
+    if lead == 1:
+        return tuple(flat)
+    if lead == 0:
+        return None
+    return tuple(F.row_scale(flat, F.inv(lead)))
+
+
+def _saturated_choices(F: GF, E: SplitBundle, vec):
+    """The subbundles presented by one candidate column per twist in vec,
+    one column tuple per subsheaf: of the choices with equal minor keys,
+    the last saturated one in itertools.product order over the candidate
+    lists.
+
+    The first r - 1 columns: a depth-first walk keeps the k x k minors of
+    the chosen prefix and extends them by one Laplace pass per new column.
+    A prefix whose minors all vanish has dependent columns, so nothing
+    under it validates and its whole subtree is skipped.
+
+    The last column, by linearity.  With the prefix fixed, expanding the
+    minor on a row subset S along the last column c gives
+    sum_{j in S} +-c_j M_{S-j}, where M are the prefix's minors; with
+    c_j = sum_e x_{j,e} t^e, every maximal minor is an F_q-linear function
+    of the coefficient vector x.  Each minor on S has degree at most its
+    full degree, so the minors flatten to one vector of fixed layout
+    (_minor_offsets), and the flattened minors of x are sum_p x_p img_p,
+    where img_p, the image of the p-th coefficient slot, is computed once
+    per prefix.  The last column is never built: an odometer walks x in
+    _column_candidates order, and a coefficient going from c to c' adds
+    (c' - c) img_p, one row_addmul, about q/(q-1) of them per step.
+
+    Saturation is tested once per minor key.  A key scales the flattened
+    minors so their first nonzero coefficient is 1, so two choices share a
+    key exactly when their minors are proportional, m' = u m with u a
+    nonzero constant.  Then the gcds of m and m' agree (gcds are monic) and
+    so does the degree of every minor, so _saturated, unit gcd and some
+    minor at its full degree, gives both the same verdict.  The kept
+    choice is recorded as (prefix, coefficient vector) and turned into
+    columns only once the walk is over.
     """
     n, r = E.rank, len(vec)
+    cands = [list(_column_candidates(F, n, _column_slots(E, dk))) for dk in vec[:-1]]
     plans = [_laplace_plan(n, k) for k in range(r)]
     full = _full_degrees(E, vec)
+    offsets = _minor_offsets(full)
+    blocks = list(zip(offsets, offsets[1:]))
+    slots = _column_slots(E, vec[-1])
+    # per row of the last column: (offset of S, index of S - {j}, sign)
+    # for every row subset S that contains it
+    terms = {j: [] for j, _ in slots}
+    for at, expansion in zip(offsets, plans[r - 1]):
+        for j, i, neg in expansion:
+            if j in terms:
+                terms[j].append((at, i, neg))
+    top = F.q - 1
+    step = [F.sub(c + 1, c) for c in range(top)]  # c -> c + 1
+    wrap = F.sub(0, top)  # top -> 0
+    addmul = F.row_addmul
+    kept = {}  # minor key -> False (not saturated) or (prefix, coefficients)
+
+    def leaves(minors, prefix):
+        signed = [(m, F.row_neg(m)) for m in minors]
+        imgs = []
+        for j, size in slots:
+            for e in range(size):
+                img = [0] * offsets[-1]
+                for at, i, neg in terms[j]:
+                    m = signed[i][neg]
+                    img[at + e:at + e + len(m)] = m
+                imgs.append(img)
+        total = len(imgs)
+        for lead in range(total):
+            x = [0] * total
+            x[lead] = 1
+            flat = imgs[lead]
+            while True:
+                key = _minor_key(F, flat)
+                if key is not None:
+                    got = kept.get(key)
+                    if got is None and not _saturated(
+                        F, [pnorm(key[a:b]) for a, b in blocks], full
+                    ):
+                        got = kept[key] = False
+                    if got is not False:
+                        kept[key] = (prefix, tuple(x))
+                p = total - 1
+                while p > lead and x[p] == top:
+                    x[p] = 0
+                    flat = addmul(flat, wrap, imgs[p])
+                    p -= 1
+                if p == lead:
+                    break
+                c = x[p]
+                x[p] = c + 1
+                flat = addmul(flat, step[c], imgs[p])
 
     def walk(k, minors, prefix):
-        plan = plans[k]
+        if k == r - 1:
+            leaves(minors, prefix)
+            return
         for col in cands[k]:
-            ext = _extend_minors(F, minors, col, plan)
-            if k + 1 < r:
-                if any(ext):
-                    yield from walk(k + 1, ext, prefix + (col,))
-            elif _saturated(F, ext, full):
-                yield ext, prefix + (col,)
+            ext = _extend_minors(F, minors, col, plans[k])
+            if any(ext):
+                walk(k + 1, ext, prefix + (col,))
 
-    return walk(0, ((1,),), ())
-
-
-def _minor_key(F: GF, minors):
-    """The maximal minors scaled so the first nonzero one is monic."""
-    lead = next(m for m in minors if m)[-1]
-    if lead == 1:
-        return tuple(minors)
-    inv = F.inv(lead)
-    return tuple(pscale(F, m, inv) for m in minors)
+    walk(0, ((1,),), ())
+    last = {}  # coefficients -> column: kept choices share their last columns
+    return [
+        prefix + (last.get(x) or last.setdefault(x, _column(n, slots, x)),)
+        for prefix, x in filter(None, kept.values())
+    ]
 
 
 def enumerate_subbundles(
@@ -553,15 +650,19 @@ def enumerate_subbundles(
 
     Each column ranges over the nonzero fills of its degree bounds with the
     first nonzero coefficient 1.  At rank 1 the column is its own minors:
-    it is tested for saturation and, pinned, is its own key.  At higher rank
-    a depth-first walk over the column lists, in itertools.product order,
-    keeps the minors of the chosen prefix, extends them by one Laplace pass
-    per column, and skips the subtree of a prefix whose minors all vanish
-    (its columns are dependent).  At a leaf the r x r minors in hand give
-    the saturation test (unit gcd, and some minor at its full degree
-    sum_S a_j - sum_k d_k) and the key: the minors scaled so the first
-    nonzero one is monic.  Only the subbundles kept become Subbundle objects
-    and get a canonical key, for the final sort.
+    it is tested for saturation and, pinned, is its own subsheaf.  At
+    higher rank (_saturated_choices) a depth-first walk over the column
+    lists, in itertools.product order, keeps the minors of the chosen
+    prefix, extends them by one Laplace pass per column, and skips the
+    subtree of a prefix whose minors all vanish (its columns are
+    dependent).  Under a prefix the maximal minors are linear in the last
+    column's coefficients, so each last column costs a row_addmul or two
+    on the flattened minors, not a Laplace pass.  The minors give the
+    saturation test (unit gcd, and some minor at its full degree
+    sum_S a_j - sum_k d_k) and the key: the flattened minors scaled so the
+    first nonzero coefficient is 1.  The test runs once per key, since
+    proportional minors pass or fail it together.  Only the subbundles kept
+    become Subbundle objects and get a canonical key, for the final sort.
 
     The minor key identifies subsheaves within one twist vector.  Two
     presentations M, M' of one subbundle with equal column twists are two
@@ -575,9 +676,8 @@ def enumerate_subbundles(
     Which presentation stands for a subsheaf: at rank 1 it has exactly one
     candidate.  At higher rank several candidates of one twist vector can
     share a key, and the last validated one in column-product order is
-    kept, since each overwrites the one before it in `found`.  Reports
-    print these matrices, so another enumeration order must keep them or
-    change the reports.
+    kept.  Reports print these matrices, so another enumeration order must
+    keep them or change the reports.
     """
     n = E.rank
     E.check_subbundle_rank(r)
@@ -587,19 +687,19 @@ def enumerate_subbundles(
     if count > budget:
         raise BudgetExceeded(count, budget)
     F = E.field
-    found = {}  # (twist vector, key) -> columns
+    subs = []
     twists = range(max(E.twists), min_col_twist - 1, -1)
     for vec in nonincreasing_tuples(twists, r, d):
         if r == 1:
             full = _full_degrees(E, vec)
-            for col in _column_candidates(F, n, _column_slots(E, vec[0])):
-                if _saturated(F, col, full):
-                    found[(vec, col)] = (col,)
-            continue
-        cands = [list(_column_candidates(F, n, _column_slots(E, dk))) for dk in vec]
-        for minors, cols in _saturated_choices(F, E, vec, cands):
-            found[(vec, _minor_key(F, minors))] = cols
-    subs = [Subbundle(E, vec, tuple(zip(*cols))) for (vec, _), cols in found.items()]
+            subs.extend(
+                Subbundle(E, vec, tuple(zip(col)))
+                for col in _column_candidates(F, n, _column_slots(E, vec[0]))
+                if _saturated(F, col, full)
+            )
+        else:
+            subs.extend(Subbundle(E, vec, tuple(zip(*cols)))
+                        for cols in _saturated_choices(F, E, vec))
     return tuple(sorted(subs, key=Subbundle.sort_key))
 
 

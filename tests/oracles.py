@@ -2,13 +2,19 @@
 
 The rank-2 oracle performs a direct exhaustive filtration search: it derives
 its own degree window from the rank-1 degree sandwich, enumerates every line
-subbundle inside it, and classifies the bundle without touching the HN
-engine.  At most one line can beat the total slope (two would violate degree
-additivity), which the oracle asserts rather than assumes.
+subbundle inside it with reference_enumerate, and classifies the bundle
+without touching the HN engine or the engine's enumerator.  At most one line
+can beat the total slope (two would violate degree additivity), which the
+oracle asserts rather than assumes.  It still shares with the engine the
+parabolic degree (parahn.parabolic) and, through reference_enumerate,
+Subbundle's canonical key, sheaves.poly_det and the poly kernels.
 
 polygon_certificate checks a claimed HN filtration of any rank against the
 polygon it defines, enumerating every window that can reach that polygon
-with its own bounds and no hn code.
+with its own bounds and no hn code.  It does share engine code: the windows
+come from sheaves.enumerate_subbundles (the enumerator the hn scan uses),
+each subbundle's parabolic degree from parahn.parabolic, and the vertex
+check compares subbundles by their canonical keys.
 
 induced_jumps_reference recomputes the induced flag jumps of a subbundle
 the direct way, one intersect_dim per flag member, without the engine's
@@ -18,6 +24,8 @@ reference_enumerate is the enumerator the engine had before prefix minors:
 every candidate matrix in column-product order, validated by cofactor
 minors, and one subbundle per canonical key, the last validated
 presentation of each kept.  reference_validate is its validation test.
+reference_minor_classes groups the same candidates by their cofactor minors
+up to a constant, the classes the engine tests for saturation once each.
 
 SMALL_FIELDS lists every field with q <= 27, prime and extension.  untabled()
 builds a small field the way fields above 256 elements are built, without op
@@ -32,7 +40,7 @@ import parahn.gf as gf
 from parahn.linalg import intersect_dim
 from parahn.parabolic import parabolic_degree
 from parahn.rat import ceil_frac, floor_frac
-from parahn.poly import pdeg, pgcd, pnorm
+from parahn.poly import pdeg, pgcd, pnorm, pscale
 from parahn.sheaves import Subbundle, enumerate_subbundles, poly_det
 
 
@@ -48,13 +56,7 @@ def rank2_oracle(V):
     d_min = floor_frac(mu - npts)
     lines = []
     for d in range(max(E.twists), d_min - 1, -1):
-        lines.extend(enumerate_subbundles(E, 1, d, d))
-    best = None
-    best_slope = None
-    for L in lines:
-        s = parabolic_degree(V, L)
-        if best_slope is None or s > best_slope:
-            best, best_slope = L, s
+        lines.extend(reference_enumerate(E, 1, d, d))
     beating = [L for L in lines if parabolic_degree(V, L) > mu]
     assert len(beating) <= 1, "two lines beat the slope: additivity violated"
     if not beating:
@@ -122,19 +124,39 @@ def induced_jumps_reference(V, W):
     return tuple(out)
 
 
+def reference_minors(E, r, mat):
+    """The r x r minors of mat by cofactor expansion, one per r-subset of
+    rows in combinations order."""
+    return [
+        poly_det(E.field, [mat[j] for j in S])
+        for S in itertools.combinations(range(E.rank), r)
+    ]
+
+
+def _full_degrees(E, col_twists):
+    """Per r-subset S of rows, sum_{j in S} a_j - sum_k d_k."""
+    return [
+        sum(E.twists[j] for j in S) - sum(col_twists)
+        for S in itertools.combinations(range(E.rank), len(col_twists))
+    ]
+
+
+def _minors_saturated(F, minors, full_degrees):
+    g, lead_ok = (), False
+    for minor, full in zip(minors, full_degrees):
+        if minor:
+            lead_ok |= pdeg(minor) == full
+            g = pgcd(F, g, minor)
+    return g == (1,) and lead_ok
+
+
 def reference_validate(E, col_twists, mat):
     """Cofactor test: the r x r minors have unit gcd and one of them reaches
     its full degree sum_S a_j - sum_k d_k.  Assumes the degree bounds hold."""
     r = len(col_twists)
-    if r == 0:
-        return True
-    g, lead_ok = (), False
-    for S in itertools.combinations(range(E.rank), r):
-        minor = poly_det(E.field, [mat[j] for j in S])
-        if minor:
-            lead_ok |= pdeg(minor) == sum(E.twists[j] for j in S) - sum(col_twists)
-            g = pgcd(E.field, g, minor)
-    return g == (1,) and lead_ok
+    return r == 0 or _minors_saturated(
+        E.field, reference_minors(E, r, mat), _full_degrees(E, col_twists)
+    )
 
 
 def _reference_columns(E, d_k):
@@ -153,18 +175,47 @@ def _reference_columns(E, d_k):
             yield tuple(col)
 
 
-def reference_presentations(E, r, d, min_col_twist):
-    """Every validated candidate (twist vector, matrix) of the window, in
-    column-product order within each twist vector."""
+def reference_candidates(E, r, d, min_col_twist):
+    """Every candidate (twist vector, matrix) of the window, in column-product
+    order within each twist vector."""
     twists = range(E.twists[0], min_col_twist - 1, -1)
     for vec in itertools.product(twists, repeat=r):
         if sum(vec) != d or any(a < b for a, b in zip(vec, vec[1:])):
             continue
         lists = [list(_reference_columns(E, dk)) for dk in vec]
         for cols in itertools.product(*lists):
-            mat = tuple(zip(*cols))
-            if reference_validate(E, vec, mat):
-                yield vec, mat
+            yield vec, tuple(zip(*cols))
+
+
+def reference_presentations(E, r, d, min_col_twist):
+    """Every validated candidate (twist vector, matrix) of the window, in
+    column-product order within each twist vector."""
+    for vec, mat in reference_candidates(E, r, d, min_col_twist):
+        if reference_validate(E, vec, mat):
+            yield vec, mat
+
+
+def reference_minor_classes(E, r, d, min_col_twist):
+    """The window's candidates with nonzero minors, by class: (twist vector,
+    cofactor minors scaled so the first nonzero minor is monic) -> the last
+    validated presentation of the class in column-product order, or None if
+    none of its candidates validates."""
+    F = E.field
+    classes, fulls = {}, {}
+    for vec, mat in reference_candidates(E, r, d, min_col_twist):
+        if vec not in fulls:
+            fulls[vec] = _full_degrees(E, vec)
+        minors = reference_minors(E, r, mat)
+        lead = next((m for m in minors if m), None)
+        if lead is None:
+            continue
+        inv = F.inv(lead[-1])
+        key = (vec, tuple(pscale(F, m, inv) for m in minors))
+        if _minors_saturated(F, minors, fulls[vec]):
+            classes[key] = mat
+        else:
+            classes.setdefault(key, None)
+    return classes
 
 
 def reference_enumerate(E, r, d, min_col_twist):

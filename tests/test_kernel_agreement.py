@@ -1,13 +1,16 @@
 """The table path of the linalg and poly kernels against the element-method
 path: each kernel gives the same result on a tabled field and on the same
-field built without tables (oracles.untabled)."""
+field built without tables (oracles.untabled).  So does the subbundle
+enumerator, whose last column runs on the row primitives."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahn.gf import field_make
 from parahn.linalg import matmul, matvec, rref
 from parahn.poly import padd, pdivmod, peval, pgcd, pmul, pneg, pnorm, pscale, psub, pxgcd
+from parahn.sheaves import SplitBundle, enumerate_subbundles
 
 from oracles import SMALL_FIELDS, untabled
 
@@ -61,3 +64,18 @@ def test_poly_kernels_same_on_tabled_and_untabled_field(FU, data):
     assert peval(F, a, x) == peval(U, a, x)
     if b:
         assert pdivmod(F, a, b) == pdivmod(U, a, b)
+
+
+# (p, k, twists, r, d): rank-2 windows over F_3 and F_4, a rank-3 one over F_2
+ENUM_WINDOWS = [(3, 1, (0, 0, 0), 2, -1), (2, 2, (1, 0, -1), 2, 0), (2, 1, (0, 0, 0, 0), 3, 0)]
+
+
+@pytest.mark.parametrize("p,k,twists,r,d", ENUM_WINDOWS)
+def test_enumeration_same_on_tabled_and_untabled_field(p, k, twists, r, d):
+    # the last column's minors are updated by row_addmul and keyed by
+    # row_scale: without tables both take their element-method branch
+    min_col_twist = d - (r - 1) * twists[0]
+    F, U = field_make(p, k), untabled(p, k)
+    got = [enumerate_subbundles(SplitBundle(G, twists), r, d, min_col_twist) for G in (F, U)]
+    assert got[0]
+    assert [(W.col_twists, W.mat) for W in got[0]] == [(W.col_twists, W.mat) for W in got[1]]

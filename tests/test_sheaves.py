@@ -36,12 +36,21 @@ from parahn.sheaves import (
     smith_form,
     subbundle_validate,
     zero_subbundle,
+    _full_degrees,
     _maximal_minors,
     _minor_key,
+    _minor_offsets,
 )
 
+import parahn.sheaves as sheaves
+
 from conftest import add_row_multiple
-from oracles import reference_enumerate, reference_presentations, reference_validate
+from oracles import (
+    reference_enumerate,
+    reference_minor_classes,
+    reference_presentations,
+    reference_validate,
+)
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)
@@ -233,8 +242,14 @@ def test_reference_grid_reaches_every_shape_and_negative_degrees():
     }
 
 
-def _minor_key_of(E, mat):
-    return _minor_key(E.field, _maximal_minors(E.field, E.rank, tuple(zip(*mat))))
+def _minor_key_of(E, col_twists, mat):
+    """The enumerator's minor key of a presentation: its maximal minors laid
+    out by _minor_offsets, then scaled."""
+    offsets = _minor_offsets(_full_degrees(E, col_twists))
+    flat = [0] * offsets[-1]
+    for at, m in zip(offsets, _maximal_minors(E.field, E.rank, tuple(zip(*mat)))):
+        flat[at:at + len(m)] = m
+    return _minor_key(E.field, flat)
 
 
 def _random_automorphism(rng, F, col_twists, mat):
@@ -265,11 +280,11 @@ def test_minor_key_is_invariant_under_automorphisms(F, twists, r, d):
     rng = random.Random(r * 100 + d)
     E = bundle(F, *twists)
     for W in enumerate_subbundles(E, r, d, d - (r - 1) * twists[0])[:60]:
-        key = _minor_key_of(E, W.mat)
+        key = _minor_key_of(E, W.col_twists, W.mat)
         for _ in range(4):
             mat = _random_automorphism(rng, F, W.col_twists, W.mat)
             assert subbundle_validate(E, W.col_twists, mat)
-            assert _minor_key_of(E, mat) == key
+            assert _minor_key_of(E, W.col_twists, mat) == key
             assert make_subbundle(E, W.col_twists, mat).key == W.key
 
 
@@ -279,10 +294,45 @@ def test_minor_keys_match_canonical_keys_over_a_window(F, twists, r, d):
     # when equal canonical keys
     E = bundle(F, *twists)
     pairs = {
-        (vec, _minor_key_of(E, mat), make_subbundle(E, vec, mat).key)
+        (vec, _minor_key_of(E, vec, mat), make_subbundle(E, vec, mat).key)
         for vec, mat in reference_presentations(E, r, d, d - (r - 1) * twists[0])
     }
     assert len({(v, m) for v, m, _ in pairs}) == len({(v, c) for v, _, c in pairs}) == len(pairs)
+
+
+def _monic_first(F, minors):
+    """minors scaled so the first nonzero one is monic."""
+    inv = F.inv(next(m for m in minors if m)[-1])
+    return tuple(pscale(F, m, inv) for m in minors)
+
+
+# windows with their number of minor classes: the last column's candidates
+# outnumber the classes 13 to 1 (O^3/F_3), 225 to 1 (O^4/F_2) and 35 to 1
+CLASS_WINDOWS = [(F3, (0, 0, 0), 2, -1, 364), (F2, (0, 0, 0, 0), 3, -1, 255),
+                 (F3, (1, 0, -1), 2, -1, 413)]
+
+
+@pytest.mark.parametrize("F,twists,r,d,classes", CLASS_WINDOWS,
+                         ids=[f"F{w[0].q}-{w[1]}-r{w[2]}-d{w[3]}" for w in CLASS_WINDOWS])
+def test_saturation_runs_once_per_minor_class(monkeypatch, F, twists, r, d, classes):
+    # proportional minors share one verdict: _saturated sees each class of
+    # candidates once, and the window keeps the last validated presentation
+    # of each saturated class, as an exhaustive cofactor pass finds them
+    E = bundle(F, *twists)
+    min_col_twist = d - (r - 1) * twists[0]
+    real, seen = sheaves._saturated, []
+
+    def spy(*args):
+        seen.append(_monic_first(F, args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(sheaves, "_saturated", spy)
+    got = enumerate_subbundles(E, r, d, min_col_twist)
+    want = reference_minor_classes(E, r, d, min_col_twist)
+    assert len(seen) == len(want) == classes
+    assert sorted(seen) == sorted(minors for _, minors in want)
+    kept = sorted((vec, mat) for (vec, _), mat in want.items() if mat is not None)
+    assert sorted((W.col_twists, W.mat) for W in got) == kept
 
 
 # -- closed-form counts -------------------------------------------------------
