@@ -40,10 +40,6 @@ class NotInjective(ParahnError):
     pass
 
 
-class NotInvertible(ParahnError):
-    pass
-
-
 class FullRank(ParahnError):
     pass
 

@@ -61,6 +61,7 @@ from .sheaves import (
     enumerate_subbundles,
     full_subbundle,
     nonincreasing_tuples,
+    quotient_bundle,
     zero_subbundle,
 )
 
@@ -304,8 +305,6 @@ def find_P_destabilizing(
 
 def complete_flag(V: ParabolicBundle, budget: int = DEFAULT_BUDGET):
     """A full chain with rank-one graded pieces, maximal degree at each step."""
-    from .sheaves import quotient_bundle
-
     E = V.bundle
     n = E.rank
     chain = []

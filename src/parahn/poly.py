@@ -5,9 +5,7 @@ the zero polynomial is the empty tuple) with the field passed explicitly; the
 thin PolyGF wrapper carries its field for the public gcd contract.  The field
 is any object with GF's element methods and row primitives, so poly imports
 no field module at run time (gf builds its extension fields on poly's
-kernels over the prime field, and imports poly).  Laurent
-polynomials, needed by the two-chart bundle calculus, are (valuation, coeffs)
-pairs with the same normalization.
+kernels over the prime field, and imports poly).
 
 The arithmetic kernels work on coefficient rows through the field's row
 primitives (GF.row_add, GF.row_addmul, ...): a product is one shifted
@@ -194,63 +192,3 @@ def poly_gcd(a: PolyGF, b: PolyGF) -> PolyGF:
         raise FieldMismatch("gcd arguments live over different fields")
     return PolyGF(a.field, pgcd(a.field, a.coeffs, b.coeffs))
 
-
-# -- Laurent polynomials ----------------------------------------------------
-
-
-def lnorm(lo: int, coeffs) -> tuple:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    while c and c[0] == 0:
-        c.pop(0)
-        lo += 1
-    if not c:
-        return (0, ())
-    return (lo, tuple(c))
-
-
-def lfrom_poly(a) -> tuple:
-    return lnorm(0, a)
-
-
-def lis_zero(a) -> bool:
-    return not a[1]
-
-
-def lval(a):
-    """t-adic valuation; +inf for zero."""
-    return a[0] if a[1] else float("inf")
-
-
-def ladd(F: GF, a, b):
-    if lis_zero(a):
-        return b
-    if lis_zero(b):
-        return a
-    lo = min(a[0], b[0])
-    hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
-    out = [0] * (hi - lo)
-    i = a[0] - lo
-    out[i:i + len(a[1])] = a[1]
-    i = b[0] - lo
-    out[i:i + len(b[1])] = F.row_add(out[i:i + len(b[1])], b[1])
-    return lnorm(lo, out)
-
-
-def lscale(F: GF, a, c: int):
-    if c == 0:
-        return (0, ())
-    return (a[0], tuple(F.row_scale(a[1], c)))
-
-
-def lcoeff(a, n: int) -> int:
-    """Coefficient of t^n."""
-    lo, c = a
-    if not c or n < lo or n >= lo + len(c):
-        return 0
-    return c[n - lo]
-
-
-def lmonomial(c: int, n: int) -> tuple:
-    return (n, (c,)) if c else (0, ())

@@ -24,12 +24,18 @@ twists the enumerator tells subbundles apart by their flattened maximal
 minors scaled so the first nonzero coefficient is 1, tests saturation once
 per such key (proportional minors pass or fail together), and computes the
 canonical key only for the subbundles it returns.
+
+Quotients and saturation rest on one primitive, perp: the annihilator W^⊥
+in the dual bundle, read level by level as the kernels of F_q-linear maps
+on section spaces.  Its generators split W^⊥, so E/W = (W^⊥)^∨ has the
+negated twists and the generators as fiber projections, and the saturation
+of a presentation is perp of perp.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .errors import (
@@ -38,31 +44,19 @@ from .errors import (
     FullRank,
     InvalidSubbundle,
     NotInjective,
-    NotInvertible,
     ShapeMismatch,
 )
 from .gf import GF
 from .linalg import kernel_basis, rref
 from .poly import (
     MINUS_INF,
-    ladd,
-    lcoeff,
-    lfrom_poly,
-    lis_zero,
-    lmonomial,
-    lnorm,
-    lscale,
-    lval,
     padd,
     pdeg,
-    pdivmod,
     peval,
     pgcd,
     pmap,
     pmul,
-    pneg,
     pnorm,
-    pscale,
     pshift,
     psub,
 )
@@ -188,27 +182,8 @@ def full_subbundle(E: SplitBundle) -> Subbundle:
 # -- polynomial matrix helpers ------------------------------------------------
 
 
-def poly_det(F: GF, rows):
-    n = len(rows)
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return psub(
-            F, pmul(F, rows[0][0], rows[1][1]), pmul(F, rows[0][1], rows[1][0])
-        )
-    acc = ()
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = pmul(F, rows[0][j], poly_det(F, minor))
-        acc = padd(F, acc, term) if j % 2 == 0 else psub(F, acc, term)
-    return acc
-
-
 def poly_mat_rank(F: GF, rows) -> int:
+    """Rank over F_q(t), by fraction-free elimination."""
     mat = [list(r) for r in rows]
     n = len(mat)
     m = len(mat[0]) if n else 0
@@ -237,45 +212,6 @@ def poly_mat_rank(F: GF, rows) -> int:
         if row == n:
             break
     return rk
-
-
-def poly_mat_inv_unimodular(F: GF, rows):
-    """Inverse of a square polynomial matrix with constant nonzero determinant."""
-    n = len(rows)
-    det = poly_det(F, rows)
-    if pdeg(det) != 0:
-        raise NotInvertible("matrix determinant is not a nonzero constant")
-    det_inv = F.inv(det[0])
-    out = [[() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[a][b] for b in range(n) if b != i]
-                for a in range(n)
-                if a != j
-            ]
-            cof = poly_det(F, minor)
-            if (i + j) % 2 == 1:
-                cof = pneg(F, cof)
-            out[i][j] = pscale(F, cof, det_inv)
-    return tuple(tuple(r) for r in out)
-
-
-def poly_matmul(F: GF, a, b):
-    n = len(a)
-    k = len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = ()
-            for l in range(k):
-                if a[i][l] and b[l][j]:
-                    acc = padd(F, acc, pmul(F, a[i][l], b[l][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 # -- validation and canonical keys --------------------------------------------
@@ -703,249 +639,75 @@ def enumerate_subbundles(
     return tuple(sorted(subs, key=Subbundle.sort_key))
 
 
-# -- Smith normal form ---------------------------------------------------------
 
 
-def smith_form(F: GF, M):
-    """Smith normal form over F_q[t]: M = U * D * V, monic divisibility chain."""
-    n = len(M)
-    r = len(M[0]) if n else 0
-    D = [[pnorm(e) for e in row] for row in M]
-    U = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
-    V = [[(1,) if i == j else () for j in range(r)] for i in range(r)]
-
-    def row_sub(i, s, q):  # row_i -= q*row_s ; U col_s += q*col_i
-        D[i] = [psub(F, D[i][j], pmul(F, q, D[s][j])) for j in range(r)]
-        for a in range(n):
-            U[a][s] = padd(F, U[a][s], pmul(F, q, U[a][i]))
-
-    def col_sub(j, s, q):  # col_j -= q*col_s ; V row_s += q*row_j
-        for a in range(n):
-            D[a][j] = psub(F, D[a][j], pmul(F, q, D[a][s]))
-        V[s] = [padd(F, V[s][b], pmul(F, q, V[j][b])) for b in range(r)]
-
-    def col_add(j, s):  # col_j += col_s ; V row_s -= row_j
-        for a in range(n):
-            D[a][j] = padd(F, D[a][j], D[a][s])
-        V[s] = [psub(F, V[s][b], V[j][b]) for b in range(r)]
-
-    def row_swap(i1, i2):
-        D[i1], D[i2] = D[i2], D[i1]
-        for a in range(n):
-            U[a][i1], U[a][i2] = U[a][i2], U[a][i1]
-
-    def col_swap(j1, j2):
-        for a in range(n):
-            D[a][j1], D[a][j2] = D[a][j2], D[a][j1]
-        V[j1], V[j2] = V[j2], V[j1]
-
-    def row_scale(i, u):  # row_i *= u ; U col_i *= u^-1
-        D[i] = [pscale(F, e, u) for e in D[i]]
-        ui = F.inv(u)
-        for a in range(n):
-            U[a][i] = pscale(F, U[a][i], ui)
-
-    def reduce_from(s0):
-        s = s0
-        while s < min(n, r):
-            sel = None
-            best = None
-            for i in range(s, n):
-                for j in range(s, r):
-                    e = D[i][j]
-                    if e and (best is None or len(e) < best):
-                        sel, best = (i, j), len(e)
-            if sel is None:
-                return
-            if sel[0] != s:
-                row_swap(s, sel[0])
-            if sel[1] != s:
-                col_swap(s, sel[1])
-            while True:
-                dirty = False
-                for i in range(s + 1, n):
-                    if D[i][s]:
-                        q, rem = pdivmod(F, D[i][s], D[s][s])
-                        row_sub(i, s, q)
-                        if D[i][s]:
-                            row_swap(s, i)
-                            dirty = True
-                for j in range(s + 1, r):
-                    if D[s][j]:
-                        q, rem = pdivmod(F, D[s][j], D[s][s])
-                        col_sub(j, s, q)
-                        if D[s][j]:
-                            col_swap(s, j)
-                            dirty = True
-                if not dirty:
-                    if all(not D[i][s] for i in range(s + 1, n)) and all(
-                        not D[s][j] for j in range(s + 1, r)
-                    ):
-                        break
-            s += 1
-
-    reduce_from(0)
-    # enforce the divisibility chain
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 10000:  # pragma: no cover
-            raise AssertionError("smith chain fix did not terminate")
-        bad = None
-        for i in range(min(n, r) - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a and b:
-                _, rem = pdivmod(F, b, a)
-                if rem:
-                    bad = i
-                    break
-            elif not a and b:
-                bad = i
-                break
-        if bad is None:
-            break
-        col_add(bad, bad + 1)
-        reduce_from(bad)
-    for i in range(min(n, r)):
-        e = D[i][i]
-        if e and e[-1] != 1:
-            row_scale(i, F.inv(e[-1]))
-    return (
-        tuple(tuple(row) for row in U),
-        tuple(tuple(row) for row in D),
-        tuple(tuple(row) for row in V),
-    )
+# -- annihilators, quotients and saturation --------------------------------------
 
 
-# -- Birkhoff factorization ----------------------------------------------------
+def perp(F: GF, twists, cols, col_twists):
+    """The annihilator W^⊥ of the subsheaf W spanned by generically
+    independent columns, split: (twists e_1 >= ... >= e_{n-r}, generators).
 
+    The ambient is E = O(b_1) + ... + O(b_n), b in any order, and column k,
+    of twist d_k, has entry j of degree at most b_j - d_k.  W^⊥ is the
+    subbundle of forms phi of E^∨ with phi·col_k = 0 for every k.  A section
+    of E^∨(m) has phi_j of degree at most m - b_j, so H^0(W^⊥(m)) is the
+    kernel of an F_q-linear map on the coefficients of phi.  These spaces
+    form a free graded module over F_q[x_0, x_1] whose minimal generators
+    split W^⊥.  They are read off level by level from m = min b: what the
+    levels below generate in level m is spanned by H^0(W^⊥(m-1)) and
+    t·H^0(W^⊥(m-1)), and the new generators, of twist -m, are the rows of
+    the kernel's reduced echelon form whose pivots that span lacks.  So
+    they depend only on the subsheaf.  A generator is returned as its n
+    entries, a column of twist e over the ambient -b, and perp of those
+    columns over -b is the saturation of W.
 
-@dataclass(frozen=True)
-class TransitionBundle:
-    """Bundle on the two-chart line, glued by an invertible Laurent matrix.
-
-    Convention: the transition maps s-chart coordinates to t-chart
-    coordinates, so diag(t^c) describes the split bundle with twists c.
+    Independent columns span a sheaf of degree sum d_k, so W^⊥, of rank
+    n - r, has degree at least sum d_k - sum b_j, and each e_k is at most
+    -min b.  The last generator therefore turns up by the level
+    sum b_j - sum d_k - (n - r - 1) min b, and not finding it there is an
+    engine bug.
     """
-
-    field: GF
-    rank: int
-    transition: tuple  # rank x rank matrix of Laurent polynomials
-
-    def __post_init__(self):
-        if len(self.transition) != self.rank or any(
-            len(row) != self.rank for row in self.transition
-        ):
-            raise ShapeMismatch("transition matrix shape mismatch")
-
-
-def _laurent_split(rows):
-    """(s, P) with rows = t^s * P: s is the least valuation of an entry (0 if
-    every entry is zero) and P is a polynomial matrix."""
-    s = min((e[0] for row in rows for e in row if e[1]), default=0)
-    return s, [[pshift(e[1], e[0] - s) for e in row] for row in rows]
-
-
-def laurent_det(F: GF, rows):
-    """det(t^s P) = t^(ns) det P, by poly_det's cofactor expansion."""
-    s, P = _laurent_split(rows)
-    return lnorm(len(rows) * s, poly_det(F, P))
-
-
-def laurent_matmul(F: GF, a, b):
-    """(t^s P)(t^u Q) = t^(s+u) PQ, by poly_matmul."""
-    s, P = _laurent_split(a)
-    u, Q = _laurent_split(b)
-    return tuple(tuple(lnorm(s + u, e) for e in row) for row in poly_matmul(F, P, Q))
-
-
-def birkhoff_factorize(T: TransitionBundle):
-    """Factor the transition as A_plus * diag(t^c) * A_minus.
-
-    A_plus is invertible over F_q[t], A_minus over F_q[1/t], and the twists c
-    come out nonincreasing; they are the splitting type of the glued bundle.
-    """
-    F = T.field
-    m = T.rank
-    det = laurent_det(F, T.transition)
-    if len(det[1]) != 1:
-        raise NotInvertible("transition determinant is not a unit monomial")
-    det_val = det[0]
-    TW = [list(row) for row in T.transition]
-    W_inv = [
-        [lfrom_poly((1,)) if i == j else (0, ()) for j in range(m)] for i in range(m)
-    ]
-    while True:
-        vals = []
-        for j in range(m):
-            v = min(lval(TW[i][j]) for i in range(m))
-            vals.append(int(v))
-        B = tuple(
-            tuple(lcoeff(TW[i][j], vals[j]) for j in range(m)) for i in range(m)
-        )
-        ker = kernel_basis(F, B, ncols=m)
-        if not ker:
-            break
-        kappa = ker[0]
-        support = [j for j in range(m) if kappa[j] != 0]
-        jstar = min(support, key=lambda j: (vals[j], j))
-        # column j* <- sum_j kappa_j t^(v_j* - v_j) col_j   (exponents <= 0)
-        newcol = [(0, ()) for _ in range(m)]
-        for j in support:
-            shift = vals[jstar] - vals[j]
-            for i in range(m):
-                if not lis_zero(TW[i][j]):
-                    term = lscale(F, lnorm(TW[i][j][0] + shift, TW[i][j][1]), kappa[j])
-                    newcol[i] = ladd(F, newcol[i], term)
-        for i in range(m):
-            TW[i][jstar] = newcol[i]
-        # W_inv <- E^-1 * W_inv : row j* scales, other rows subtract
-        inv_k = F.inv(kappa[jstar])
-        old_jstar = W_inv[jstar]
-        new_rows = {}
-        for a in support:
-            if a == jstar:
-                continue
-            shift = vals[jstar] - vals[a]
-            coef = F.neg(F.mul(kappa[a], inv_k))
-            new_rows[a] = [
-                ladd(
-                    F,
-                    W_inv[a][b],
-                    lscale(F, lnorm(old_jstar[b][0] + shift, old_jstar[b][1]), coef),
-                )
-                for b in range(m)
-            ]
-        W_inv[jstar] = [lscale(F, e, inv_k) for e in old_jstar]
-        for a, row in new_rows.items():
-            W_inv[a] = row
-        new_sum = sum(
-            int(min(lval(TW[i][j]) for i in range(m))) for j in range(m)
-        )
-        if new_sum <= sum(vals):  # pragma: no cover
-            raise AssertionError("birkhoff reduction made no progress")
-        if new_sum > det_val:  # pragma: no cover
-            raise AssertionError("birkhoff valuations exceeded determinant")
-    order = sorted(range(m), key=lambda j: (-vals[j], j))
-    twists = tuple(vals[j] for j in order)
-    a_plus = []
-    for i in range(m):
-        row = []
-        for j in order:
-            e = TW[i][j]
-            if lis_zero(e):
-                row.append(())
-            else:
-                lo = e[0] - vals[j]
-                if lo < 0:  # pragma: no cover
-                    raise AssertionError("plus factor not polynomial")
-                row.append(pnorm((0,) * lo + e[1]))
-        a_plus.append(tuple(row))
-    a_minus = tuple(tuple(W_inv[j]) for j in order)
-    return twists, tuple(a_plus), a_minus
-
-
-# -- quotients -----------------------------------------------------------------
+    n, r = len(twists), len(cols)
+    low = min(twists)
+    top = sum(twists) - sum(col_twists) - (n - r - 1) * low
+    e, gens = [], []
+    prev, prev_offs = (), ()
+    m = low
+    while len(e) < n - r:
+        if m > top:
+            raise AssertionError("perp ran past its level bound")
+        sizes = [max(0, m - b + 1) for b in twists]
+        offs = tuple(itertools.accumulate(sizes, initial=0))
+        eqs = []  # coefficient of t^p in phi·col_k, p <= m - d_k
+        for col, d in zip(cols, col_twists):
+            block = [[0] * offs[-1] for _ in range(m - d + 1)]
+            for j, c in enumerate(col):
+                for i in range(sizes[j]):
+                    for p, x in enumerate(c, i):
+                        block[p][offs[j] + i] = x
+            eqs.extend(block)
+        kernel = kernel_basis(F, eqs, ncols=offs[-1])
+        lower = []  # 1·phi and t·phi for phi of level m - 1
+        for v in prev:
+            one, tee = [], []
+            for j in range(n):
+                part = list(v[prev_offs[j]:prev_offs[j + 1]])
+                pad = [0] * (sizes[j] - len(part))
+                one += part + pad
+                tee += pad + part
+            lower += (one, tee)
+        known = set(rref(F, lower)[2])
+        red, rank, pivots = rref(F, kernel)
+        for row, p in zip(red[:rank], pivots):
+            if p not in known:
+                e.append(-m)
+                gens.append(tuple(pnorm(row[a:b]) for a, b in zip(offs, offs[1:])))
+        prev, prev_offs = kernel, offs
+        m += 1
+    if len(e) != n - r:
+        raise AssertionError("perp found more generators than the corank")
+    return tuple(e), tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -960,140 +722,39 @@ class QuotientMap:
         return tuple(tuple(peval(F, e, x) for e in row) for row in self.proj)
 
 
-def _poly_to_schart(E: SplitBundle, col_twists, mat):
-    """Rewrite the presentation in the s = 1/t chart."""
-    out = []
-    for j in range(E.rank):
-        row = []
-        for k in range(len(col_twists)):
-            bound = E.twists[j] - col_twists[k]
-            e = mat[j][k]
-            if bound < 0 or not e:
-                row.append(())
-            else:
-                padded = list(e) + [0] * (bound + 1 - len(e))
-                row.append(pnorm(tuple(reversed(padded))))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _schart_poly_to_laurent(p):
-    """p(s) as a Laurent polynomial in t via s = 1/t."""
-    if not p:
-        return (0, ())
-    return lnorm(-(len(p) - 1), tuple(reversed(p)))
-
-
 def quotient_bundle(E: SplitBundle, W: Subbundle):
     """Splitting type of E/W plus explicit fiber projections.
 
-    Returns (SplitBundle, QuotientMap); the twist sum always equals
-    deg E - deg W.
+    E/W is the dual of W^⊥ = O(e_1) + ... + O(e_{n-r}) (perp), so its
+    twists are -e_k, reversed to be nonincreasing, and the projection's
+    rows are W^⊥'s generators in the same order: the k-th quotient
+    coordinate of a section of E is the k-th form applied to it.  Returns
+    (SplitBundle, QuotientMap).  A presentation that is not a subbundle
+    raises InvalidSubbundle: dependent columns, or torsion in E/W, which
+    makes W^⊥ of degree above deg W - deg E.
     """
     F = E.field
-    n = E.rank
-    r = W.rank
-    if r == n:
+    if W.rank == E.rank:
         raise FullRank("cannot form the quotient by a full-rank subbundle")
-    U, D, _ = smith_form(F, W.mat)
-    for i in range(r):
-        if pdeg(D[i][i]) != 0:
-            raise InvalidSubbundle("cokernel has torsion on the affine chart")
-    U_inv = poly_mat_inv_unimodular(F, U)
-    proj_t = U_inv[r:]
-    mat_s = _poly_to_schart(E, W.col_twists, W.mat)
-    Us, Ds, _ = smith_form(F, mat_s)
-    for i in range(r):
-        if pdeg(Ds[i][i]) != 0:
-            raise InvalidSubbundle("cokernel has torsion at infinity")
-    # transition of the quotient: rows/cols r..n of U^-1 * diag(t^a) * U_s(1/t)
-    left = [[lfrom_poly(e) for e in row] for row in U_inv]
-    mid = [
-        [lmonomial(1, E.twists[i]) if i == j else (0, ()) for j in range(n)]
-        for i in range(n)
-    ]
-    right = [[_schart_poly_to_laurent(e) for e in row] for row in Us]
-    G = laurent_matmul(F, laurent_matmul(F, left, mid), right)
-    G_sub = tuple(tuple(G[i][j] for j in range(r, n)) for i in range(r, n))
-    twists, a_plus, _ = birkhoff_factorize(
-        TransitionBundle(F, n - r, G_sub)
-    )
-    if sum(twists) != E.degree - W.degree:  # pragma: no cover
-        raise AssertionError("quotient degree additivity failed")
-    a_plus_inv = poly_mat_inv_unimodular(F, a_plus)
-    proj = poly_matmul(F, a_plus_inv, proj_t)
-    Q = SplitBundle(F, twists)
-    return Q, QuotientMap(Q, proj)
-
-
-# -- saturation ----------------------------------------------------------------
+    _check_shape(E, W.col_twists, W.mat)
+    if poly_mat_rank(F, W.mat) != W.rank:
+        raise InvalidSubbundle("presentation columns are dependent")
+    e, gens = perp(F, E.twists, tuple(zip(*W.mat)), W.col_twists)
+    if sum(e) != W.degree - E.degree:
+        raise InvalidSubbundle("cokernel has torsion")
+    Q = SplitBundle(F, tuple(-x for x in reversed(e)))
+    return Q, QuotientMap(Q, gens[::-1])
 
 
 def saturate(E: SplitBundle, col_twists, mat) -> Subbundle:
-    """Smallest subbundle containing the image of the given presentation."""
+    """Smallest subbundle containing the image of the given presentation:
+    (W^⊥)^⊥, two perp calls."""
     col_twists = tuple(col_twists)
     mat = tuple(tuple(pnorm(e) for e in row) for row in mat)
     _check_shape(E, col_twists, mat)
     F = E.field
-    n = E.rank
-    r = len(col_twists)
-    if r == 0:
-        return zero_subbundle(E)
-    if poly_mat_rank(F, mat) != r:
+    if poly_mat_rank(F, mat) != len(col_twists):
         raise NotInjective("presentation is not generically injective")
-    # On the affine chart the saturated module is spanned by the first r
-    # columns of the left Smith factor.
-    U, _, _ = smith_form(F, mat)
-    cols = [[U[j][k] for j in range(n)] for k in range(r)]
-
-    def sdeg(col):
-        return max(
-            (pdeg(col[j]) - E.twists[j]) for j in range(n) if col[j]
-        )
-
-    def pivot(col):
-        s = sdeg(col)
-        return max(j for j in range(n) if col[j] and pdeg(col[j]) - E.twists[j] == s)
-
-    # shifted weak-Popov reduction fixes the behaviour at infinity
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100000:  # pragma: no cover
-            raise AssertionError("saturation reduction did not terminate")
-        by_pivot = {}
-        clash = None
-        for idx, col in enumerate(cols):
-            pv = pivot(col)
-            if pv in by_pivot:
-                clash = (by_pivot[pv], idx)
-                break
-            by_pivot[pv] = idx
-        if clash is None:
-            break
-        i1, i2 = clash
-        if sdeg(cols[i1]) < sdeg(cols[i2]):
-            i1, i2 = i2, i1
-        # reduce column i1 by column i2 at the shared pivot
-        pv = pivot(cols[i2])
-        s1, s2 = sdeg(cols[i1]), sdeg(cols[i2])
-        lead1 = cols[i1][pv][-1]
-        lead2 = cols[i2][pv][-1]
-        coef = F.neg(F.div(lead1, lead2))
-        shift = s1 - s2
-        cols[i1] = [
-            padd(F, cols[i1][j], pscale(F, pshift(cols[i2][j], shift), coef))
-            for j in range(n)
-        ]
-        if all(not e for e in cols[i1]):  # pragma: no cover
-            raise AssertionError("saturation basis degenerated")
-    new_twists = [-sdeg(c) for c in cols]
-    order = sorted(range(r), key=lambda k: (-new_twists[k], k))
-    twists_sorted = tuple(new_twists[k] for k in order)
-    new_mat = tuple(
-        tuple(cols[k][j] for k in order) for j in range(n)
-    )
-    result = make_subbundle(E, twists_sorted, new_mat)
-    if result.degree < sum(col_twists):  # pragma: no cover
-        raise AssertionError("saturation decreased degree")
-    return result
+    e, forms = perp(F, E.twists, tuple(zip(*mat)), col_twists)
+    d, cols = perp(F, tuple(-a for a in E.twists), forms, e)
+    return Subbundle(E, d, tuple(tuple(c[j] for c in cols) for j in range(E.rank)))

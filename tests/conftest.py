@@ -6,8 +6,9 @@ import pytest
 
 from parahn.gf import field_make
 from parahn.parabolic import ParabolicBundle, flag_make
-from parahn.poly import ladd, lnorm
 from parahn.sheaves import SplitBundle
+
+from oracles import ladd, lnorm
 
 F2 = field_make(2, 1)
 F3 = field_make(3, 1)

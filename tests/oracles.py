@@ -7,7 +7,7 @@ without touching the HN engine or the engine's enumerator.  At most one line
 can beat the total slope (two would violate degree additivity), which the
 oracle asserts rather than assumes.  It still shares with the engine the
 parabolic degree (parahn.parabolic) and, through reference_enumerate,
-Subbundle's canonical key, sheaves.poly_det and the poly kernels.
+Subbundle's canonical key and the poly kernels.
 
 polygon_certificate checks a claimed HN filtration of any rank against the
 polygon it defines, enumerating every window that can reach that polygon
@@ -27,6 +27,14 @@ presentation of each kept.  reference_validate is its validation test.
 reference_minor_classes groups the same candidates by their cofactor minors
 up to a constant, the classes the engine tests for saturation once each.
 
+reference_quotient_twists is the quotient algorithm the engine had before
+perp: Smith normal forms (smith_form) on both charts, a Laurent transition
+matrix for E/W, and its Birkhoff factorization (birkhoff_factorize).  It
+shares with the engine only the poly kernels and linalg.kernel_basis, and
+its Laurent arithmetic (lnorm ... lmonomial), cofactor determinants
+(poly_det) and products (poly_matmul) live here too.  An impossible step
+raises AssertionError.
+
 SMALL_FIELDS lists every field with q <= 27, prime and extension.  untabled()
 builds a small field the way fields above 256 elements are built, without op
 tables, so the kernels' element-method fallback can be checked against the
@@ -34,14 +42,15 @@ table path on the same inputs.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import parahn.gf as gf
-from parahn.linalg import intersect_dim
+from parahn.linalg import intersect_dim, kernel_basis
 from parahn.parabolic import parabolic_degree
 from parahn.rat import ceil_frac, floor_frac
-from parahn.poly import pdeg, pgcd, pnorm, pscale
-from parahn.sheaves import Subbundle, enumerate_subbundles, poly_det
+from parahn.poly import padd, pdeg, pdivmod, pgcd, pmul, pneg, pnorm, pscale, pshift, psub
+from parahn.sheaves import Subbundle, enumerate_subbundles
 
 
 def rank2_oracle(V):
@@ -250,3 +259,410 @@ def untabled(p, k):
         return gf.GF(p, k)
     finally:
         gf._TABLE_MAX = saved
+
+
+# -- the Smith + Birkhoff quotient ----------------------------------------------
+#
+# The quotient algorithm the engine had before perp: Smith normal forms on
+# both charts, a Laurent transition matrix for E/W, and its Birkhoff
+# factorization.  It shares with the engine only the poly kernels and
+# linalg.kernel_basis, and checks perp's quotients.
+
+
+def poly_det(F, rows):
+    n = len(rows)
+    if n == 0:
+        return (1,)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return psub(
+            F, pmul(F, rows[0][0], rows[1][1]), pmul(F, rows[0][1], rows[1][0])
+        )
+    acc = ()
+    for j in range(n):
+        if not rows[0][j]:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = pmul(F, rows[0][j], poly_det(F, minor))
+        acc = padd(F, acc, term) if j % 2 == 0 else psub(F, acc, term)
+    return acc
+
+
+def poly_matmul(F, a, b):
+    n = len(a)
+    k = len(b)
+    m = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            acc = ()
+            for l in range(k):
+                if a[i][l] and b[l][j]:
+                    acc = padd(F, acc, pmul(F, a[i][l], b[l][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def poly_mat_inv_unimodular(F, rows):
+    """Inverse of a square polynomial matrix with constant nonzero determinant."""
+    n = len(rows)
+    det = poly_det(F, rows)
+    assert pdeg(det) == 0, "matrix determinant is not a nonzero constant"
+    det_inv = F.inv(det[0])
+    out = [[() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [rows[a][b] for b in range(n) if b != i]
+                for a in range(n)
+                if a != j
+            ]
+            cof = poly_det(F, minor)
+            if (i + j) % 2 == 1:
+                cof = pneg(F, cof)
+            out[i][j] = pscale(F, cof, det_inv)
+    return tuple(tuple(r) for r in out)
+
+
+def smith_form(F, M):
+    """Smith normal form over F_q[t]: M = U * D * V, monic divisibility chain."""
+    n = len(M)
+    r = len(M[0]) if n else 0
+    D = [[pnorm(e) for e in row] for row in M]
+    U = [[(1,) if i == j else () for j in range(n)] for i in range(n)]
+    V = [[(1,) if i == j else () for j in range(r)] for i in range(r)]
+
+    def row_sub(i, s, q):  # row_i -= q*row_s ; U col_s += q*col_i
+        D[i] = [psub(F, D[i][j], pmul(F, q, D[s][j])) for j in range(r)]
+        for a in range(n):
+            U[a][s] = padd(F, U[a][s], pmul(F, q, U[a][i]))
+
+    def col_sub(j, s, q):  # col_j -= q*col_s ; V row_s += q*row_j
+        for a in range(n):
+            D[a][j] = psub(F, D[a][j], pmul(F, q, D[a][s]))
+        V[s] = [padd(F, V[s][b], pmul(F, q, V[j][b])) for b in range(r)]
+
+    def col_add(j, s):  # col_j += col_s ; V row_s -= row_j
+        for a in range(n):
+            D[a][j] = padd(F, D[a][j], D[a][s])
+        V[s] = [psub(F, V[s][b], V[j][b]) for b in range(r)]
+
+    def row_swap(i1, i2):
+        D[i1], D[i2] = D[i2], D[i1]
+        for a in range(n):
+            U[a][i1], U[a][i2] = U[a][i2], U[a][i1]
+
+    def col_swap(j1, j2):
+        for a in range(n):
+            D[a][j1], D[a][j2] = D[a][j2], D[a][j1]
+        V[j1], V[j2] = V[j2], V[j1]
+
+    def row_scale(i, u):  # row_i *= u ; U col_i *= u^-1
+        D[i] = [pscale(F, e, u) for e in D[i]]
+        ui = F.inv(u)
+        for a in range(n):
+            U[a][i] = pscale(F, U[a][i], ui)
+
+    def reduce_from(s0):
+        s = s0
+        while s < min(n, r):
+            sel = None
+            best = None
+            for i in range(s, n):
+                for j in range(s, r):
+                    e = D[i][j]
+                    if e and (best is None or len(e) < best):
+                        sel, best = (i, j), len(e)
+            if sel is None:
+                return
+            if sel[0] != s:
+                row_swap(s, sel[0])
+            if sel[1] != s:
+                col_swap(s, sel[1])
+            while True:
+                dirty = False
+                for i in range(s + 1, n):
+                    if D[i][s]:
+                        q, rem = pdivmod(F, D[i][s], D[s][s])
+                        row_sub(i, s, q)
+                        if D[i][s]:
+                            row_swap(s, i)
+                            dirty = True
+                for j in range(s + 1, r):
+                    if D[s][j]:
+                        q, rem = pdivmod(F, D[s][j], D[s][s])
+                        col_sub(j, s, q)
+                        if D[s][j]:
+                            col_swap(s, j)
+                            dirty = True
+                if not dirty:
+                    if all(not D[i][s] for i in range(s + 1, n)) and all(
+                        not D[s][j] for j in range(s + 1, r)
+                    ):
+                        break
+            s += 1
+
+    reduce_from(0)
+    # enforce the divisibility chain
+    guard = 0
+    while True:
+        guard += 1
+        assert guard <= 10000, "smith chain fix did not terminate"
+        bad = None
+        for i in range(min(n, r) - 1):
+            a, b = D[i][i], D[i + 1][i + 1]
+            if a and b:
+                _, rem = pdivmod(F, b, a)
+                if rem:
+                    bad = i
+                    break
+            elif not a and b:
+                bad = i
+                break
+        if bad is None:
+            break
+        col_add(bad, bad + 1)
+        reduce_from(bad)
+    for i in range(min(n, r)):
+        e = D[i][i]
+        if e and e[-1] != 1:
+            row_scale(i, F.inv(e[-1]))
+    return (
+        tuple(tuple(row) for row in U),
+        tuple(tuple(row) for row in D),
+        tuple(tuple(row) for row in V),
+    )
+
+
+# Laurent polynomials: (valuation, coeffs) pairs, coeffs normalized like poly's.
+
+
+def lnorm(lo, coeffs):
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    while c and c[0] == 0:
+        c.pop(0)
+        lo += 1
+    if not c:
+        return (0, ())
+    return (lo, tuple(c))
+
+
+def lfrom_poly(a):
+    return lnorm(0, a)
+
+
+def lis_zero(a):
+    return not a[1]
+
+
+def lval(a):
+    """t-adic valuation; +inf for zero."""
+    return a[0] if a[1] else float("inf")
+
+
+def ladd(F, a, b):
+    if lis_zero(a):
+        return b
+    if lis_zero(b):
+        return a
+    lo = min(a[0], b[0])
+    hi = max(a[0] + len(a[1]), b[0] + len(b[1]))
+    out = [0] * (hi - lo)
+    i = a[0] - lo
+    out[i:i + len(a[1])] = a[1]
+    i = b[0] - lo
+    out[i:i + len(b[1])] = F.row_add(out[i:i + len(b[1])], b[1])
+    return lnorm(lo, out)
+
+
+def lscale(F, a, c):
+    if c == 0:
+        return (0, ())
+    return (a[0], tuple(F.row_scale(a[1], c)))
+
+
+def lcoeff(a, n):
+    """Coefficient of t^n."""
+    lo, c = a
+    if not c or n < lo or n >= lo + len(c):
+        return 0
+    return c[n - lo]
+
+
+def lmonomial(c, n):
+    return (n, (c,)) if c else (0, ())
+
+
+@dataclass(frozen=True)
+class TransitionBundle:
+    """Bundle on the two-chart line, glued by an invertible Laurent matrix.
+
+    Convention: the transition maps s-chart coordinates to t-chart
+    coordinates, so diag(t^c) describes the split bundle with twists c.
+    """
+
+    field: object
+    rank: int
+    transition: tuple  # rank x rank matrix of Laurent polynomials
+
+    def __post_init__(self):
+        assert len(self.transition) == self.rank and all(
+            len(row) == self.rank for row in self.transition
+        ), "transition matrix shape mismatch"
+
+
+def _laurent_split(rows):
+    """(s, P) with rows = t^s * P: s is the least valuation of an entry (0 if
+    every entry is zero) and P is a polynomial matrix."""
+    s = min((e[0] for row in rows for e in row if e[1]), default=0)
+    return s, [[pshift(e[1], e[0] - s) for e in row] for row in rows]
+
+
+def laurent_det(F, rows):
+    """det(t^s P) = t^(ns) det P, by poly_det's cofactor expansion."""
+    s, P = _laurent_split(rows)
+    return lnorm(len(rows) * s, poly_det(F, P))
+
+
+def laurent_matmul(F, a, b):
+    """(t^s P)(t^u Q) = t^(s+u) PQ, by poly_matmul."""
+    s, P = _laurent_split(a)
+    u, Q = _laurent_split(b)
+    return tuple(tuple(lnorm(s + u, e) for e in row) for row in poly_matmul(F, P, Q))
+
+
+def birkhoff_factorize(T):
+    """Factor the transition as A_plus * diag(t^c) * A_minus.
+
+    A_plus is invertible over F_q[t], A_minus over F_q[1/t], and the twists c
+    come out nonincreasing; they are the splitting type of the glued bundle.
+    """
+    F = T.field
+    m = T.rank
+    det = laurent_det(F, T.transition)
+    assert len(det[1]) == 1, "transition determinant is not a unit monomial"
+    det_val = det[0]
+    TW = [list(row) for row in T.transition]
+    W_inv = [
+        [lfrom_poly((1,)) if i == j else (0, ()) for j in range(m)] for i in range(m)
+    ]
+    while True:
+        vals = []
+        for j in range(m):
+            v = min(lval(TW[i][j]) for i in range(m))
+            vals.append(int(v))
+        B = tuple(
+            tuple(lcoeff(TW[i][j], vals[j]) for j in range(m)) for i in range(m)
+        )
+        ker = kernel_basis(F, B, ncols=m)
+        if not ker:
+            break
+        kappa = ker[0]
+        support = [j for j in range(m) if kappa[j] != 0]
+        jstar = min(support, key=lambda j: (vals[j], j))
+        # column j* <- sum_j kappa_j t^(v_j* - v_j) col_j   (exponents <= 0)
+        newcol = [(0, ()) for _ in range(m)]
+        for j in support:
+            shift = vals[jstar] - vals[j]
+            for i in range(m):
+                if not lis_zero(TW[i][j]):
+                    term = lscale(F, lnorm(TW[i][j][0] + shift, TW[i][j][1]), kappa[j])
+                    newcol[i] = ladd(F, newcol[i], term)
+        for i in range(m):
+            TW[i][jstar] = newcol[i]
+        # W_inv <- E^-1 * W_inv : row j* scales, other rows subtract
+        inv_k = F.inv(kappa[jstar])
+        old_jstar = W_inv[jstar]
+        new_rows = {}
+        for a in support:
+            if a == jstar:
+                continue
+            shift = vals[jstar] - vals[a]
+            coef = F.neg(F.mul(kappa[a], inv_k))
+            new_rows[a] = [
+                ladd(
+                    F,
+                    W_inv[a][b],
+                    lscale(F, lnorm(old_jstar[b][0] + shift, old_jstar[b][1]), coef),
+                )
+                for b in range(m)
+            ]
+        W_inv[jstar] = [lscale(F, e, inv_k) for e in old_jstar]
+        for a, row in new_rows.items():
+            W_inv[a] = row
+        new_sum = sum(
+            int(min(lval(TW[i][j]) for i in range(m))) for j in range(m)
+        )
+        assert new_sum > sum(vals), "birkhoff reduction made no progress"
+        assert new_sum <= det_val, "birkhoff valuations exceeded determinant"
+    order = sorted(range(m), key=lambda j: (-vals[j], j))
+    twists = tuple(vals[j] for j in order)
+    a_plus = []
+    for i in range(m):
+        row = []
+        for j in order:
+            e = TW[i][j]
+            if lis_zero(e):
+                row.append(())
+            else:
+                lo = e[0] - vals[j]
+                assert lo >= 0, "plus factor not polynomial"
+                row.append(pnorm((0,) * lo + e[1]))
+        a_plus.append(tuple(row))
+    a_minus = tuple(tuple(W_inv[j]) for j in order)
+    return twists, tuple(a_plus), a_minus
+
+
+def _poly_to_schart(E, col_twists, mat):
+    """Rewrite the presentation in the s = 1/t chart."""
+    out = []
+    for j in range(E.rank):
+        row = []
+        for k in range(len(col_twists)):
+            bound = E.twists[j] - col_twists[k]
+            e = mat[j][k]
+            if bound < 0 or not e:
+                row.append(())
+            else:
+                padded = list(e) + [0] * (bound + 1 - len(e))
+                row.append(pnorm(tuple(reversed(padded))))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _schart_poly_to_laurent(p):
+    """p(s) as a Laurent polynomial in t via s = 1/t."""
+    if not p:
+        return (0, ())
+    return lnorm(-(len(p) - 1), tuple(reversed(p)))
+
+
+def reference_quotient_twists(E, W):
+    """The splitting type of E/W for a subbundle W of rank below E's: the
+    rows r..n of the inverse Smith factor on the t-chart span the quotient
+    there, the Smith factor on the s-chart glues it, and the Birkhoff
+    factorization of the resulting transition gives its twists."""
+    F = E.field
+    n, r = E.rank, W.rank
+    U, D, _ = smith_form(F, W.mat)
+    assert all(pdeg(D[i][i]) == 0 for i in range(r)), "torsion on the t-chart"
+    U_inv = poly_mat_inv_unimodular(F, U)
+    Us, Ds, _ = smith_form(F, _poly_to_schart(E, W.col_twists, W.mat))
+    assert all(pdeg(Ds[i][i]) == 0 for i in range(r)), "torsion at infinity"
+    # transition of the quotient: rows/cols r..n of U^-1 * diag(t^a) * U_s(1/t)
+    left = [[lfrom_poly(e) for e in row] for row in U_inv]
+    mid = [
+        [lmonomial(1, E.twists[i]) if i == j else (0, ()) for j in range(n)]
+        for i in range(n)
+    ]
+    right = [[_schart_poly_to_laurent(e) for e in row] for row in Us]
+    G = laurent_matmul(F, laurent_matmul(F, left, mid), right)
+    G_sub = tuple(tuple(G[i][j] for j in range(r, n)) for i in range(r, n))
+    twists, _, _ = birkhoff_factorize(TransitionBundle(F, n - r, G_sub))
+    assert sum(twists) == E.degree - W.degree, "quotient degree additivity failed"
+    return twists

@@ -32,18 +32,9 @@ from parahn.parabolic import (
     quotient_parabolic,
     sub_parabolic,
 )
-from parahn.poly import lfrom_poly, lmonomial, pnorm
+from parahn.poly import pnorm
 from parahn.rat import floor_frac
-from parahn.sheaves import (
-    SplitBundle,
-    TransitionBundle,
-    birkhoff_factorize,
-    enumerate_subbundles,
-    laurent_matmul,
-    poly_matmul,
-    quotient_bundle,
-    smith_form,
-)
+from parahn.sheaves import SplitBundle, enumerate_subbundles, quotient_bundle
 from parahn.theta import one_step, wt_chi, wt_combined, wt_det, chi_pairing, is_admissible
 
 from conftest import (
@@ -55,7 +46,16 @@ from conftest import (
     two_point_aligned,
     two_point_generic,
 )
-from oracles import rank2_oracle
+from oracles import (
+    TransitionBundle,
+    birkhoff_factorize,
+    laurent_matmul,
+    lfrom_poly,
+    lmonomial,
+    poly_matmul,
+    rank2_oracle,
+    smith_form,
+)
 
 
 def report(num, text):

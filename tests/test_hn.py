@@ -36,6 +36,8 @@ from parahn.parabolic import (
     flag_make,
     induced_quot_datum,
     parabolic_degree,
+    quotient_parabolic,
+    sub_parabolic,
 )
 from parahn.sheaves import SplitBundle, full_subbundle, make_subbundle
 
@@ -120,6 +122,22 @@ def polygon_cases():
 @pytest.mark.parametrize("V", polygon_cases())
 def test_filtration_passes_polygon_certificate(V):
     assert polygon_certificate(V, hn_filtration(V)) > 0
+
+
+def test_quotient_by_first_step_continues_the_datum():
+    # V/U_1 carries the rest of V's HN filtration, so its datum is V's
+    # without the first step's entries, and U_1 itself is semistable
+    checked = 0
+    for V in polygon_cases():
+        filt = hn_filtration(V)
+        if filt.length < 2:
+            continue
+        U1 = filt.steps[0]
+        quotient = hn_filtration(quotient_parabolic(V, U1))
+        assert hn_datum(quotient) == hn_datum(filt)[U1.rank:]
+        assert hn_filtration(sub_parabolic(V, U1)).length == 1
+        checked += 1
+    assert checked == 17  # every unstable polygon case
 
 
 def skew_window_degrees(monkeypatch, degree):

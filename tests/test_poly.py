@@ -7,9 +7,6 @@ from parahn.gf import field_make
 from parahn.poly import (
     MINUS_INF,
     PolyGF,
-    ladd,
-    lcoeff,
-    lfrom_poly,
     pdeg,
     pdivmod,
     peval,
@@ -18,6 +15,8 @@ from parahn.poly import (
     pnorm,
     poly_gcd,
 )
+
+from oracles import ladd, lcoeff, lfrom_poly
 
 
 def test_gcd_with_common_factor_t():

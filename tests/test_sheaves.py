@@ -6,11 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from parahn.errors import BudgetExceeded, NotInjective
+from parahn.errors import BudgetExceeded, InvalidSubbundle, NotInjective
 from parahn.gf import field_make
 from parahn.poly import (
-    lfrom_poly,
-    lmonomial,
     padd,
     pdeg,
     pdivmod,
@@ -21,19 +19,15 @@ from parahn.poly import (
 )
 from parahn.sheaves import (
     SplitBundle,
-    TransitionBundle,
-    birkhoff_factorize,
+    Subbundle,
     enumerate_candidate_count,
     enumerate_subbundles,
     full_subbundle,
-    laurent_matmul,
     make_subbundle,
     nonincreasing_tuples,
-    poly_det,
     quotient_bundle,
     saturate,
     section_twist,
-    smith_form,
     subbundle_validate,
     zero_subbundle,
     _full_degrees,
@@ -46,10 +40,19 @@ import parahn.sheaves as sheaves
 
 from conftest import add_row_multiple
 from oracles import (
+    TransitionBundle,
+    birkhoff_factorize,
+    laurent_matmul,
+    lfrom_poly,
+    lmonomial,
+    poly_det,
+    poly_matmul,
     reference_enumerate,
     reference_minor_classes,
     reference_presentations,
+    reference_quotient_twists,
     reference_validate,
+    smith_form,
 )
 
 F2 = field_make(2, 1)
@@ -500,7 +503,30 @@ def test_saturate_agrees_with_minor_vanishing_oracle():
         ((-1,), (((0, 1),), ((1,),))),
         ((-2,), (((0, 2, 1),), ((0, 1),))),
     ]
-    for d, mat in cases:
+    cases = [(E, d, mat) for d, mat in cases]
+    # seeded random content: a subbundle with one column multiplied by a
+    # random polynomial f and its twist lowered by deg f plus 0 or 1 (the
+    # extra unit vanishes at infinity); saturation must undo both
+    rng = random.Random(41)
+    for F, twists, r in ((F3, (0, 0), 1), (F2, (1, 0, -1), 1), (F3, (0, 0, 0), 2),
+                         (F4, (0, 0, 0), 2)):
+        E = SplitBundle(F, twists)
+        d = sum(twists[:r]) - 1
+        subs = enumerate_subbundles(E, r, d, d - (r - 1) * twists[0])
+        for W in rng.sample(subs, min(6, len(subs))):
+            f = pnorm([rng.randrange(F.q) for _ in range(rng.randint(0, 2))] + [1])
+            k = rng.randrange(r)
+            mat = tuple(
+                tuple(pmul(F, f, e) if c == k else e for c, e in enumerate(row))
+                for row in W.mat
+            )
+            col_twists = tuple(
+                dk - (pdeg(f) + rng.randint(0, 1) if c == k else 0)
+                for c, dk in enumerate(W.col_twists)
+            )
+            assert saturate(E, col_twists, mat) == W
+            cases.append((E, col_twists, mat))
+    for E, d, mat in cases:
         W = saturate(E, d, mat)
         n0 = section_twist(E, W.col_twists)
         sol = _minor_solution_space(E, d, mat, n0)
@@ -511,7 +537,7 @@ def test_saturate_agrees_with_minor_vanishing_oracle():
 
         _, key_rows = W.key
         joined = tuple(key_rows) + tuple(sol)
-        assert _rref(F3, joined)[1] == len(key_rows)
+        assert _rref(E.field, joined)[1] == len(key_rows)
 
 
 def test_saturate_monotone_under_containment():
@@ -541,8 +567,6 @@ def _assert_smith(F, M):
     U, D, V = smith_form(F, M)
     n, r = len(M), len(M[0]) if M else 0
     # round trip
-    from parahn.sheaves import poly_matmul
-
     prod = poly_matmul(F, poly_matmul(F, U, D), V)
     assert prod == tuple(tuple(pnorm(e) for e in row) for row in M)
     # diagonal, monic chain
@@ -724,6 +748,60 @@ def test_quotient_degree_additivity_random():
         for W in enumerate_subbundles(E, 1, d, d):
             Q, _ = quotient_bundle(E, W)
             assert sum(Q.twists) == E.degree - W.degree
+
+
+@pytest.mark.parametrize(
+    "twists, col_twists, mat",
+    [
+        ((0, 0), (-1,), (((0, 1),), ((),))),  # (t, 0): torsion at t = 0
+        ((0, 0), (-1,), (((1,),), ((),))),  # (1, 0): torsion at infinity
+        # equal columns: the annihilator's first generator, (0, 0, 1) of
+        # twist 5, has the degree of a subbundle's, so only the rank shows it
+        ((0, 0, -5), (0, 0), (((1,), (1,)), ((), ()), ((), ()))),
+    ],
+    ids=["finite-torsion", "infinite-torsion", "dependent-columns"],
+)
+def test_quotient_rejects_non_subbundles(twists, col_twists, mat):
+    E = bundle(F3, *twists)
+    W = Subbundle(E, col_twists, mat)
+    with pytest.raises(InvalidSubbundle):
+        quotient_bundle(E, W)
+
+
+# (bundle, lowest degree below the top of each rank's window)
+QUOTIENT_WINDOWS = [
+    ((F2, (0, 0, 0)), 1),
+    ((F3, (0, 0, 0)), 1),
+    ((F4, (0, 0, 0)), 0),
+    ((F2, (1, 0, -1)), 1),
+    ((F3, (1, 0, -1)), 1),
+    ((F4, (1, 0, -1)), 1),
+    ((F2, (0, 0, 0, 0)), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, depth", QUOTIENT_WINDOWS,
+    ids=[f"F{F.q}-{twists}" for (F, twists), _ in QUOTIENT_WINDOWS],
+)
+def test_quotient_twists_match_smith_birkhoff_oracle(shape, depth):
+    # every subbundle of every rank-r window at the top degree (and one
+    # below), all column twists: perp's quotient against the Smith and
+    # Birkhoff quotient of tests/oracles.py; at each F_q point the
+    # projection kills W's fiber and is onto
+    from parahn.linalg import matmul, rank
+
+    F, twists = shape
+    E = SplitBundle(F, twists)
+    for r in range(1, E.rank):
+        for d in range(sum(twists[:r]), sum(twists[:r]) - depth - 1, -1):
+            for W in enumerate_subbundles(E, r, d, d - (r - 1) * twists[0]):
+                Q, qmap = quotient_bundle(E, W)
+                assert Q.twists == reference_quotient_twists(E, W)
+                for x in range(F.q):
+                    P = qmap.at(x)
+                    assert not any(map(any, matmul(F, P, W.fiber_matrix(x))))
+                    assert rank(F, P) == E.rank - r
 
 
 # -- scalar extension -----------------------------------------------------------
