@@ -10,6 +10,7 @@ between runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -46,21 +47,6 @@ from .specio import (
     parse_spec,
 )
 from .theta import is_admissible, theta_filtration, wt_chi, wt_combined, wt_det
-
-COMMANDS = (
-    "hn",
-    "enum-sub",
-    "strata",
-    "quot-points",
-    "fil-points",
-    "bounds-F",
-    "bounds-B",
-    "sigma",
-    "theta-weight",
-    "admissible",
-    "family",
-    "hom",
-)
 
 
 def _require(value, name):
@@ -241,6 +227,7 @@ _DISPATCH = {
     "family": _cmd_family,
     "hom": _cmd_hom,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _render_md(payload, level=1):
@@ -316,20 +303,12 @@ def run_command(cmd: str, text: str, args) -> tuple[dict, int]:
 
 
 def _extend_spec(spec: BundleSpec, m: int) -> BundleSpec:
-    bundle = spec.bundle.extend_scalars(m)
-    theta = None
-    if spec.theta is not None:
-        theta = tuple((w, W.extend_scalars(m)) for w, W in spec.theta)
-    hom = spec.hom.extend_scalars(m) if spec.hom is not None else None
-    return BundleSpec(
-        bundle=bundle,
-        datum=spec.datum,
-        quot=spec.quot,
-        fil=spec.fil,
-        theta=theta,
-        family=spec.family,
-        family_points=spec.family_points,
-        hom=hom,
+    return dataclasses.replace(
+        spec,
+        bundle=spec.bundle.extend_scalars(m),
+        theta=None if spec.theta is None
+        else tuple((w, W.extend_scalars(m)) for w, W in spec.theta),
+        hom=None if spec.hom is None else spec.hom.extend_scalars(m),
     )
 
 

@@ -61,7 +61,6 @@ from .sheaves import (
     enumerate_subbundles,
     full_subbundle,
     nonincreasing_tuples,
-    quotient_bundle,
     zero_subbundle,
 )
 
@@ -301,31 +300,6 @@ def find_P_destabilizing(
     if q == 0:  # pragma: no cover
         raise AssertionError("violating prefix below the first step")
     return filt.steps[q - 1]
-
-
-def complete_flag(V: ParabolicBundle, budget: int = DEFAULT_BUDGET):
-    """A full chain with rank-one graded pieces, maximal degree at each step."""
-    E = V.bundle
-    n = E.rank
-    chain = []
-    U = zero_subbundle(E)
-    while U.rank < n:
-        if U.rank == 0:
-            top = max(E.twists)
-        else:
-            Q, _ = quotient_bundle(E, U)
-            top = Q.twists[0]
-        d = U.degree + top
-        cands = [
-            W
-            for W in _enum(E, U.rank + 1, d, _min_col_twist(E, U.rank + 1, d), budget)
-            if W.contains(U)
-        ]
-        if not cands:  # pragma: no cover
-            raise AssertionError("no line extension found at the top twist")
-        U = min(cands, key=Subbundle.sort_key)
-        chain.append(U)
-    return tuple(chain)
 
 
 # -- point enumerators ----------------------------------------------------------

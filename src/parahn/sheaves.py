@@ -17,6 +17,12 @@ prefixes that way: once the prefix is fixed, the maximal minors are
 F_q-linear in the last column's coefficients, so each last column updates
 the flattened minors of the one before it by a row_addmul or two.
 
+Every other question about a presentation's columns reads the same minors.
+Subbundle.contains extends a subbundle's cached minors by each column of
+the other and asks that every (r+1)-minor vanish; quotient_bundle
+validates its input with subbundle_validate; saturate's injectivity test
+asks that some maximal minor survive.
+
 Identity of subbundles is identity of subsheaves: the canonical key is the
 reduced echelon basis of a twisted section space, so presentations related by
 column operations collapse to one object.  Within one vector of column
@@ -153,14 +159,26 @@ class Subbundle:
             hit = self._fibers[x] = tuple(zip(*self.fiber_matrix(x)))
         return hit
 
+    @cached_property
+    def _minors(self):
+        """The r x r minors of the presentation, as _maximal_minors lays
+        them out."""
+        F, n = self.bundle.field, self.bundle.rank
+        return _maximal_minors(F, n, tuple(zip(*self.mat)))
+
     def contains(self, other: "Subbundle") -> bool:
-        """Subsheaf containment: other's columns lie in the generic span."""
+        """Subsheaf containment: other's columns lie in the generic span,
+        i.e. for each column u of other every (r+1)-minor of self's columns
+        followed by u vanishes.  A full-rank self has no such minors."""
         if other.rank == 0:
             return True
         if other.rank > self.rank:
             return False
-        joined = tuple(r1 + r2 for r1, r2 in zip(self.mat, other.mat))
-        return poly_mat_rank(self.bundle.field, joined) == self.rank
+        F, n = self.bundle.field, self.bundle.rank
+        plan = _laplace_plan(n, self.rank)
+        return not any(
+            any(_extend_minors(F, self._minors, u, plan)) for u in zip(*other.mat)
+        )
 
     def extend_scalars(self, m: int) -> "Subbundle":
         big, embed = self.bundle.field.extension(m)
@@ -177,41 +195,6 @@ def full_subbundle(E: SplitBundle) -> Subbundle:
     n = E.rank
     mat = tuple(tuple((1,) if i == j else () for j in range(n)) for i in range(n))
     return Subbundle(E, E.twists, mat)
-
-
-# -- polynomial matrix helpers ------------------------------------------------
-
-
-def poly_mat_rank(F: GF, rows) -> int:
-    """Rank over F_q(t), by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    n = len(mat)
-    m = len(mat[0]) if n else 0
-    rk = 0
-    row = 0
-    for col in range(m):
-        sel = None
-        best = None
-        for i in range(row, n):
-            e = mat[i][col]
-            if e and (best is None or len(e) < best):
-                sel, best = i, len(e)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        p = mat[row][col]
-        for i in range(row + 1, n):
-            e = mat[i][col]
-            if e:
-                mat[i] = [
-                    psub(F, pmul(F, p, mat[i][j]), pmul(F, e, mat[row][j]))
-                    for j in range(m)
-                ]
-        rk += 1
-        row += 1
-        if row == n:
-            break
-    return rk
 
 
 # -- validation and canonical keys --------------------------------------------
@@ -730,18 +713,15 @@ def quotient_bundle(E: SplitBundle, W: Subbundle):
     rows are W^⊥'s generators in the same order: the k-th quotient
     coordinate of a section of E is the k-th form applied to it.  Returns
     (SplitBundle, QuotientMap).  A presentation that is not a subbundle
-    raises InvalidSubbundle: dependent columns, or torsion in E/W, which
-    makes W^⊥ of degree above deg W - deg E.
+    (dependent columns, or torsion in E/W) fails subbundle_validate and
+    raises InvalidSubbundle.
     """
     F = E.field
     if W.rank == E.rank:
         raise FullRank("cannot form the quotient by a full-rank subbundle")
-    _check_shape(E, W.col_twists, W.mat)
-    if poly_mat_rank(F, W.mat) != W.rank:
-        raise InvalidSubbundle("presentation columns are dependent")
+    if not subbundle_validate(E, W.col_twists, W.mat):
+        raise InvalidSubbundle("presentation does not define a subbundle")
     e, gens = perp(F, E.twists, tuple(zip(*W.mat)), W.col_twists)
-    if sum(e) != W.degree - E.degree:
-        raise InvalidSubbundle("cokernel has torsion")
     Q = SplitBundle(F, tuple(-x for x in reversed(e)))
     return Q, QuotientMap(Q, gens[::-1])
 
@@ -753,8 +733,9 @@ def saturate(E: SplitBundle, col_twists, mat) -> Subbundle:
     mat = tuple(tuple(pnorm(e) for e in row) for row in mat)
     _check_shape(E, col_twists, mat)
     F = E.field
-    if poly_mat_rank(F, mat) != len(col_twists):
+    image = tuple(zip(*mat))
+    if not any(_maximal_minors(F, E.rank, image)):
         raise NotInjective("presentation is not generically injective")
-    e, forms = perp(F, E.twists, tuple(zip(*mat)), col_twists)
+    e, forms = perp(F, E.twists, image, col_twists)
     d, cols = perp(F, tuple(-a for a in E.twists), forms, e)
     return Subbundle(E, d, tuple(tuple(c[j] for c in cols) for j in range(E.rank)))

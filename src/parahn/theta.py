@@ -35,7 +35,7 @@ class ThetaFiltration:
             raise InvalidFiltration("weights must strictly increase")
 
 
-def theta_filtration(V: ParabolicBundle, jumps, allow_repeats: bool = False):
+def theta_filtration(V: ParabolicBundle, jumps):
     """Validated filtration inside V; listed subbundles are proper & nonzero."""
     jumps = tuple((int(w), W) for w, W in jumps)
     filt = ThetaFiltration(jumps)
@@ -49,7 +49,7 @@ def theta_filtration(V: ParabolicBundle, jumps, allow_repeats: bool = False):
         if prev is not None:
             if not prev.contains(W):
                 raise InvalidFiltration("members are not nested")
-            if not allow_repeats and prev.rank == W.rank:
+            if prev.rank == W.rank:
                 raise InvalidFiltration("members must strictly decrease")
         prev = W
     return filt

@@ -16,6 +16,11 @@ come from sheaves.enumerate_subbundles (the enumerator the hn scan uses),
 each subbundle's parabolic degree from parahn.parabolic, and the vertex
 check compares subbundles by their canonical keys.
 
+poly_mat_rank is the rank over F_q(t) by fraction-free elimination, the
+containment test the engine had before Subbundle.contains read maximal
+minors; W contains U exactly when [W | U] has rank W.rank.  It shares
+with the engine only the poly kernels (pmul, psub).
+
 induced_jumps_reference recomputes the induced flag jumps of a subbundle
 the direct way, one intersect_dim per flag member, without the engine's
 flag-adapted coordinates.
@@ -259,6 +264,38 @@ def untabled(p, k):
         return gf.GF(p, k)
     finally:
         gf._TABLE_MAX = saved
+
+
+def poly_mat_rank(F, rows):
+    """Rank over F_q(t) of a polynomial matrix, by fraction-free elimination."""
+    mat = [list(r) for r in rows]
+    n = len(mat)
+    m = len(mat[0]) if n else 0
+    rk = 0
+    row = 0
+    for col in range(m):
+        sel = None
+        best = None
+        for i in range(row, n):
+            e = mat[i][col]
+            if e and (best is None or len(e) < best):
+                sel, best = i, len(e)
+        if sel is None:
+            continue
+        mat[row], mat[sel] = mat[sel], mat[row]
+        p = mat[row][col]
+        for i in range(row + 1, n):
+            e = mat[i][col]
+            if e:
+                mat[i] = [
+                    psub(F, pmul(F, p, mat[i][j]), pmul(F, e, mat[row][j]))
+                    for j in range(m)
+                ]
+        rk += 1
+        row += 1
+        if row == n:
+            break
+    return rk
 
 
 # -- the Smith + Birkhoff quotient ----------------------------------------------

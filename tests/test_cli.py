@@ -392,6 +392,22 @@ def test_extend_flag_preserves_datum(tmp_path):
     assert ext["result"]["datum"] == base["result"]["datum"]
 
 
+def test_extend_flag_carries_theta_and_hom(tmp_path):
+    # --extend also extends the theta subbundles and the hom target bundle
+    doc = dict(R1_DOC, theta=[THETA_OK])
+    base, _ = run(tmp_path, "theta-weight", doc)
+    ext, code = run(tmp_path, "theta-weight", doc, "--extend", "2")
+    assert code == 0
+    assert ext["result"] == base["result"]
+    assert ext["result"]["combined"] == "1/1"
+    for splitting_type, dim in (([0, 0], 3), ([1, 0], 5)):
+        doc = dict(R1_DOC, hom=dict(splitting_type=splitting_type, flags=R1_DOC["flags"]))
+        for extra in ((), ("--extend", "2")):
+            report, code = run(tmp_path, "hom", doc, *extra)
+            assert code == 0
+            assert report["result"]["dimension"] == dim
+
+
 def test_domain_error_exit_code(tmp_path):
     # strata without any datum: domain error, exit 1
     report, code = run(tmp_path, "strata", R1_DOC)

@@ -13,7 +13,6 @@ from parahn.errors import (
 from parahn.gf import field_make
 from parahn.hn import (
     FlagFamily,
-    complete_flag,
     enumerate_B,
     enumerate_F,
     family_scan,
@@ -450,24 +449,6 @@ def test_strata_membership_fixtures():
     assert strata_member(V, (Fraction(3, 4), Fraction(1, 4)))
     assert not strata_member(V, (Fraction(1, 2), Fraction(1, 2)))
     assert strata_member(two_point_generic(), (Fraction(3, 2), Fraction(1, 2)))
-
-
-# -- complete flags -----------------------------------------------------------------
-
-
-def test_complete_flag_rank_one():
-    V = ParabolicBundle(SplitBundle(F3, (0,)), (), (), ())
-    chain = complete_flag(V)
-    assert [W.rank for W in chain] == [1]
-
-
-def test_complete_flag_rank_two_fixtures():
-    for V in (one_point_aligned(), two_point_generic()):
-        chain = complete_flag(V)
-        assert [W.rank for W in chain] == [1, 2]
-        assert chain[1].contains(chain[0])
-        # first step is a line of maximal sheaf degree
-        assert chain[0].degree == 0
 
 
 # -- point counts ------------------------------------------------------------------

@@ -46,6 +46,7 @@ from oracles import (
     lfrom_poly,
     lmonomial,
     poly_det,
+    poly_mat_rank,
     poly_matmul,
     reference_enumerate,
     reference_minor_classes,
@@ -430,6 +431,42 @@ def test_containment_of_axis_in_full():
     assert axis.contains(zero_subbundle(E))
 
 
+# (bundle, lowest degree below the top of each rank's window); the window
+# one below the top of O^3 over F_3 and O^4 over F_2 holds 624 and 1,050
+# subbundles, too many to pair with each other here
+CONTAINMENT_WINDOWS = [
+    ((F2, (0, 0, 0)), 1),
+    ((F3, (0, 0, 0)), 0),
+    ((F3, (1, 0, -1)), 1),
+    ((F2, (0, 0, 0, 0)), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, depth", CONTAINMENT_WINDOWS,
+    ids=[f"F{F.q}-{twists}" for (F, twists), _ in CONTAINMENT_WINDOWS],
+)
+def test_contains_matches_rank_oracle(shape, depth):
+    # every ordered pair of the zero and full subbundles and the subbundles
+    # of each rank's top window (and those below it, down to depth): W
+    # contains U exactly when [W | U] has rank W.rank over F_q(t)
+    F, twists = shape
+    E = SplitBundle(F, twists)
+    subs = [zero_subbundle(E), full_subbundle(E)]
+    for r in range(1, E.rank):
+        for d in range(sum(twists[:r]), sum(twists[:r]) - depth - 1, -1):
+            subs += enumerate_subbundles(E, r, d, d - (r - 1) * twists[0])
+    held = 0
+    for W in subs:
+        for U in subs:
+            joined = tuple(a + b for a, b in zip(W.mat, U.mat))
+            expected = poly_mat_rank(F, joined) == W.rank
+            assert W.contains(U) == expected, (W.col_twists, W.mat, U.col_twists, U.mat)
+            held += expected
+    # containment holds well beyond U == W, 0 and E
+    assert held > 3 * len(subs)
+
+
 # -- saturation -----------------------------------------------------------------
 
 
@@ -457,6 +494,10 @@ def test_saturate_requires_generic_injectivity():
     E = bundle(F3, 0, 0)
     with pytest.raises(NotInjective):
         saturate(E, (0,), (((),), ((),)))
+    # (1, 0, 0) and (t, 0, 0): both nonzero, of rank 1 over F_q(t)
+    E = bundle(F3, 0, 0, 0)
+    with pytest.raises(NotInjective):
+        saturate(E, (0, -1), (((1,), (0, 1)), ((), ()), ((), ())))
 
 
 def _minor_solution_space(E, col_twists, mat, n0):

@@ -96,9 +96,7 @@ def test_refining_inside_a_segment_changes_nothing():
     line = make_subbundle(E, (0,), (((1,),), ((),), ((),)))
     plane = make_subbundle(E, (0, 0), (((1,), ()), ((), (1,)), ((), ())))
     base = theta_filtration(V, ((0, plane), (3, line)))
-    refined = theta_filtration(
-        V, ((0, plane), (2, plane), (3, line)), allow_repeats=True
-    )
+    refined = ThetaFiltration(((0, plane), (2, plane), (3, line)))
     assert wt_combined(V, refined) == wt_combined(V, base)
     assert wt_chi(V, refined, 0, 1, 2) == wt_chi(V, base, 0, 1, 2)
     assert wt_det(V, refined) == wt_det(V, base)
