@@ -1,10 +1,11 @@
 """Command-line surface: one command per process, deterministic JSON reports.
 
-Exit codes: 0 success, 1 domain error, 2 enumeration budget exhausted,
-3 internal error (NonUniqueMaximum or an AssertionError from the engine; the
-report is still emitted and names the error class).  The report payload is
-byte-stable for identical inputs and flags; only the timing_ms field varies
-between runs.
+Exit codes: 0 success, 1 domain error, 2 enumeration budget exhausted or a
+command-line usage error (argparse's, a PARAHN_BUDGET that is not an integer
+included), 3 internal error (NonUniqueMaximum or an AssertionError from the
+engine; the report is still emitted and names the error class).  The report
+payload is byte-stable for identical inputs and flags; only the timing_ms
+field varies between runs.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ def _get_datum(spec: BundleSpec, args):
     return _require(spec.datum, "datum")
 
 
-def _cmd_hn(spec, args, budget):
-    filt = hn_filtration(spec.bundle, budget)
+def _cmd_hn(spec, args):
+    filt = hn_filtration(spec.bundle, args.budget)
     return {
         "datum": emit_datum(hn_datum(filt)),
         "semistable": filt.length == 1,
@@ -72,14 +73,14 @@ def _cmd_hn(spec, args, budget):
     }
 
 
-def _cmd_enum_sub(spec, args, budget):
+def _cmd_enum_sub(spec, args):
     q = _require(spec.quot, "quot")
     E = spec.bundle.bundle
     r, d = q["rank"], q["degree"]
     mct = q["min_col_twist"]
     if mct is None:
         mct = _min_col_twist(E, r, d)
-    subs = enumerate_subbundles(E, r, d, mct, budget)
+    subs = enumerate_subbundles(E, r, d, mct, args.budget)
     return {
         "count": len(subs),
         "min_col_twist": mct,
@@ -87,15 +88,15 @@ def _cmd_enum_sub(spec, args, budget):
     }
 
 
-def _cmd_strata(spec, args, budget):
+def _cmd_strata(spec, args):
     P = _get_datum(spec, args)
-    member = strata_member(spec.bundle, P, budget)
+    member = strata_member(spec.bundle, P, args.budget)
     witness = None
     if not member and sum(P) == parabolic_degree(spec.bundle):
-        W = find_P_destabilizing(spec.bundle, P, budget)
+        W = find_P_destabilizing(spec.bundle, P, args.budget)
         if W is not None:
             witness = emit_subbundle(W)
-    filt = hn_filtration(spec.bundle, budget)
+    filt = hn_filtration(spec.bundle, args.budget)
     return {
         "member": member,
         "hn_datum": emit_datum(hn_datum(filt)),
@@ -103,37 +104,37 @@ def _cmd_strata(spec, args, budget):
     }
 
 
-def _cmd_quot_points(spec, args, budget):
+def _cmd_quot_points(spec, args):
     q = _require(spec.quot, "quot")
     if q["jumps"] is None:
         raise ParahnError("quot.jumps is required for quot-points")
     theta = QuotDatum(q["rank"], q["degree"], q["jumps"])
-    pts = quot_points(spec.bundle, theta, budget)
+    pts = quot_points(spec.bundle, theta, args.budget)
     return {"count": len(pts), "points": [emit_subbundle(W) for W in pts]}
 
 
-def _cmd_fil_points(spec, args, budget):
+def _cmd_fil_points(spec, args):
     alpha = _require(spec.fil, "fil")
-    chains = fil_points(spec.bundle, alpha, budget)
+    chains = fil_points(spec.bundle, alpha, args.budget)
     return {
         "count": len(chains),
         "chains": [[emit_subbundle(W) for W in ch] for ch in chains],
     }
 
 
-def _cmd_bounds_F(spec, args, budget):
+def _cmd_bounds_F(spec, args):
     P = _get_datum(spec, args)
     data = enumerate_F(P, len(spec.bundle.points))
     return {"count": len(data), "data": [emit_datum(d) for d in data]}
 
 
-def _cmd_bounds_B(spec, args, budget):
+def _cmd_bounds_B(spec, args):
     Q = _get_datum(spec, args)
     data = enumerate_B(Q, spec.bundle.weights)
     return {"count": len(data), "data": [emit_datum(d) for d in data]}
 
 
-def _cmd_sigma(spec, args, budget):
+def _cmd_sigma(spec, args):
     P = _get_datum(spec, args)
     chain_lengths = tuple(fl.chain_length for fl in spec.bundle.flags)
     cands = sigma_candidates(P, chain_lengths)
@@ -143,7 +144,7 @@ def _cmd_sigma(spec, args, budget):
     }
 
 
-def _cmd_theta_weight(spec, args, budget):
+def _cmd_theta_weight(spec, args):
     jumps = _require(spec.theta, "theta")
     V = spec.bundle
     filt = theta_filtration(V, jumps)
@@ -169,7 +170,7 @@ def _cmd_theta_weight(spec, args, budget):
     return result
 
 
-def _cmd_admissible(spec, args, budget):
+def _cmd_admissible(spec, args):
     V = spec.bundle
     out = []
     all_ok = True
@@ -188,9 +189,9 @@ def _cmd_admissible(spec, args, budget):
     return {"points": out, "all_admissible": all_ok}
 
 
-def _cmd_family(spec, args, budget):
+def _cmd_family(spec, args):
     fam = _require(spec.family, "family")
-    scan = family_scan(fam, spec.family_points, budget)
+    scan = family_scan(fam, spec.family_points, args.budget)
     big, _ = fam.bundle.field.extension(fam.extension_degree)
     return {
         "values": [
@@ -201,7 +202,7 @@ def _cmd_family(spec, args, budget):
     }
 
 
-def _cmd_hom(spec, args, budget):
+def _cmd_hom(spec, args):
     B = _require(spec.hom, "hom")
     dim, basis = hom_parabolic(spec.bundle, B)
     F = spec.bundle.field
@@ -230,7 +231,7 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
-def _render_md(payload, level=1):
+def _render_md(payload):
     lines = []
 
     def walk(obj, indent):
@@ -283,7 +284,7 @@ def run_command(cmd: str, text: str, args) -> tuple[dict, int]:
         spec = parse_spec(text)
         if args.extend != 1:
             spec = _extend_spec(spec, args.extend)
-        report["result"] = _DISPATCH[cmd](spec, args, args.budget)
+        report["result"] = _DISPATCH[cmd](spec, args)
     except BudgetExceeded as exc:
         report["error"] = {
             "type": "BudgetExceeded",
@@ -312,6 +313,19 @@ def _extend_spec(spec: BundleSpec, m: int) -> BundleSpec:
     )
 
 
+def _budget(text: str) -> int:
+    """The type of --budget.  argparse also applies it to a string default,
+    so a PARAHN_BUDGET that is not an integer is a usage error too, unless
+    --budget is given."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer (from --budget, or from PARAHN_BUDGET "
+            "when --budget is not given)"
+        ) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parahn",
@@ -325,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "md"), default="json")
         p.add_argument(
             "--budget",
-            type=int,
-            default=int(os.environ.get("PARAHN_BUDGET", DEFAULT_BUDGET)),
-            help="enumeration candidate cap",
+            type=_budget,
+            default=os.environ.get("PARAHN_BUDGET", DEFAULT_BUDGET),
+            help="enumeration candidate cap (default: PARAHN_BUDGET, else 10^8)",
         )
         p.add_argument(
             "--extend",

@@ -185,9 +185,6 @@ class GF:
             return self._inv[a]
         return self.pow(a, self.q - 2)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             return 1 if e == 0 else 0

@@ -147,12 +147,6 @@ def hn_leq(P, Q) -> bool:
     return True
 
 
-def max_destabilizing(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> Subbundle:
-    """The first HN step: the subbundle of maximal slope, then of maximal rank
-    among those; the whole bundle when V is semistable."""
-    return hn_filtration(V, budget).steps[0]
-
-
 _FILT_CACHE: dict = {}
 
 
@@ -258,10 +252,6 @@ def _not_above(a, b, c) -> bool:
     return (b[1] - a[1]) * (c[0] - a[0]) <= (c[1] - a[1]) * (b[0] - a[0])
 
 
-def is_semistable(V: ParabolicBundle, budget: int = DEFAULT_BUDGET) -> bool:
-    return hn_filtration(V, budget).length == 1
-
-
 def strata_member(V: ParabolicBundle, P, budget: int = DEFAULT_BUDGET) -> bool:
     return hn_leq(hn_datum(hn_filtration(V, budget)), P)
 
@@ -324,16 +314,16 @@ def check_quot_datum(V: ParabolicBundle, theta: QuotDatum):
 
 
 def quot_points(V: ParabolicBundle, theta: QuotDatum, budget: int = DEFAULT_BUDGET):
-    """All subbundles whose induced invariant equals theta, in key order."""
+    """All subbundles whose induced invariant equals theta, in the key order
+    (Subbundle.sort_key) that enumerate_subbundles returns its window in."""
     check_quot_datum(V, theta)
     E = V.bundle
     d = theta.degree
-    out = [
+    return tuple(
         W
         for W in _enum(E, theta.rank, d, _min_col_twist(E, theta.rank, d), budget)
         if induced_quot_datum(V, W) == theta
-    ]
-    return tuple(sorted(out, key=Subbundle.sort_key))
+    )
 
 
 def check_fil_datum(V: ParabolicBundle, alpha):
@@ -348,7 +338,11 @@ def check_fil_datum(V: ParabolicBundle, alpha):
 
 
 def fil_points(V: ParabolicBundle, alpha, budget: int = DEFAULT_BUDGET):
-    """All nested chains matching the filtration datum, as tuples of steps."""
+    """All nested chains matching the filtration datum, as tuples of steps.
+
+    The chains come out in lexicographic order of their steps' keys: each
+    step's quot_points keep enumerate_subbundles' key order, and every chain
+    is extended by them in that order."""
     alpha = tuple(alpha)
     check_fil_datum(V, alpha)
     chains = [()]
@@ -362,16 +356,7 @@ def fil_points(V: ParabolicBundle, alpha, budget: int = DEFAULT_BUDGET):
         ]
         if not chains:
             return ()
-    return tuple(
-        sorted(chains, key=lambda ch: tuple(W.sort_key() for W in ch))
-    )
-
-
-def filtration_datum(filt: HNFiltration):
-    """Invariants of the proper steps (the full step carries no information)."""
-    return tuple(
-        theta for W, theta in zip(filt.steps, filt.step_data) if W.rank < filt.bundle.rank
-    )
+    return tuple(chains)
 
 
 # -- finiteness bound sets -------------------------------------------------------

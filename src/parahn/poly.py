@@ -1,10 +1,9 @@
 """Univariate polynomials over a finite field.
 
 Engine code works on bare coefficient tuples (low-to-high, no trailing zeros;
-the zero polynomial is the empty tuple) with the field passed explicitly; the
-thin PolyGF wrapper carries its field for the public gcd contract.  The field
-is any object with GF's element methods and row primitives, so poly imports
-no field module at run time (gf builds its extension fields on poly's
+the zero polynomial is the empty tuple) with the field passed explicitly.  The
+field is any object with GF's element methods and row primitives, so poly
+imports no field module at run time (gf builds its extension fields on poly's
 kernels over the prime field, and imports poly).
 
 The arithmetic kernels work on coefficient rows through the field's row
@@ -17,10 +16,7 @@ that are common in the minor expansions and eliminations of sheaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from .errors import FieldMismatch
 
 if TYPE_CHECKING:
     from .gf import GF
@@ -51,10 +47,6 @@ def padd(F: GF, a, b):
     out = F.row_add(a, b)
     out.extend(a[len(b):])
     return pnorm(out)
-
-
-def pneg(F: GF, a):
-    return tuple(F.row_neg(a))
 
 
 def psub(F: GF, a, b):
@@ -127,23 +119,6 @@ def pgcd(F: GF, a, b):
     return pmonic(F, a)
 
 
-def pxgcd(F: GF, a, b):
-    """Extended gcd: (g, s, t) with s*a + t*b = g, g monic or zero."""
-    a, b = pnorm(a), pnorm(b)
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = pdivmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(F, s0, pmul(F, q, s1))
-        t0, t1 = t1, psub(F, t0, pmul(F, q, t1))
-    if r0 and r0[-1] != 1:
-        u = F.inv(r0[-1])
-        r0, s0, t0 = pscale(F, r0, u), pscale(F, s0, u), pscale(F, t0, u)
-    return r0, s0, t0
-
-
 def peval(F: GF, a, x: int) -> int:
     return F.row_horner(a, x)
 
@@ -151,44 +126,3 @@ def peval(F: GF, a, x: int) -> int:
 def pmap(a, f):
     """Apply an element map (e.g. a field embedding) coefficient-wise."""
     return tuple(f(c) for c in a)
-
-
-@dataclass(frozen=True)
-class PolyGF:
-    """Field-carrying polynomial, the public face of the bare-tuple helpers."""
-
-    field: GF
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", pnorm(self.coeffs))
-
-    @property
-    def degree(self):
-        return pdeg(self.coeffs)
-
-    def __add__(self, other):
-        self._same_field(other)
-        return PolyGF(self.field, padd(self.field, self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        self._same_field(other)
-        return PolyGF(self.field, psub(self.field, self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        self._same_field(other)
-        return PolyGF(self.field, pmul(self.field, self.coeffs, other.coeffs))
-
-    def __call__(self, x: int) -> int:
-        return peval(self.field, self.coeffs, x)
-
-    def _same_field(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("polynomials live over different fields")
-
-
-def poly_gcd(a: PolyGF, b: PolyGF) -> PolyGF:
-    if a.field != b.field:
-        raise FieldMismatch("gcd arguments live over different fields")
-    return PolyGF(a.field, pgcd(a.field, a.coeffs, b.coeffs))
-

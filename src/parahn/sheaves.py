@@ -97,10 +97,6 @@ class SplitBundle:
         if not 1 <= r <= self.rank:
             raise ShapeMismatch(f"rank must be in [1, {self.rank}], got {r}")
 
-    def extend_scalars(self, m: int) -> "SplitBundle":
-        big, _ = self.field.extension(m)
-        return SplitBundle(big, self.twists)
-
 
 class Subbundle:
     """A vector subbundle of a SplitBundle in matrix presentation."""

@@ -20,7 +20,6 @@ from .parabolic import (
     parabolic_degree,
 )
 from .rat import rat_str
-from .sheaves import Subbundle
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ def theta_filtration(V: ParabolicBundle, jumps):
     return filt
 
 
-def _segments(V: ParabolicBundle, filt: ThetaFiltration):
+def _segments(filt: ThetaFiltration):
     """(multiplicity, member) pairs covering the weights where the value is a
     proper subbundle; the V and 0 tails never contribute to any weight sum."""
     jumps = filt.jumps
@@ -74,7 +73,7 @@ def wt_combined(V: ParabolicBundle, filt: ThetaFiltration) -> Fraction:
     n = V.rank
     deg_v = parabolic_degree(V)
     acc = Fraction(0)
-    for mult, W in _segments(V, filt):
+    for mult, W in _segments(filt):
         acc += mult * (parabolic_degree(V, W) * n - deg_v * W.rank)
     return 2 * acc
 
@@ -89,7 +88,7 @@ def wt_chi(V: ParabolicBundle, filt: ThetaFiltration, point: int, i: int, j: int
         raise BadIndex(f"block pair ({i}, {j}) invalid for chain length {N}")
     a = fl.jumps
     acc = 0
-    for mult, W in _segments(V, filt):
+    for mult, W in _segments(filt):
         bw = induced_quot_datum(V, W).jumps[point]
         acc += mult * (bw[i - 1] * a[j - 1] - bw[j - 1] * a[i - 1])
     return acc
@@ -102,37 +101,16 @@ def wt_det(V: ParabolicBundle, filt: ThetaFiltration) -> int:
     n = V.rank
     deg_e = V.bundle.degree
     acc = 0
-    for mult, W in _segments(V, filt):
+    for mult, W in _segments(filt):
         # twisting by the point adds the rank to a sheaf degree
         acc += mult * ((W.degree + W.rank) * n - (deg_e + n) * W.rank)
     return 2 * acc
-
-
-def one_step(V: ParabolicBundle, W: Subbundle, weight: int = 1) -> ThetaFiltration:
-    return theta_filtration(V, ((weight, W),))
-
-
-def chi_pairing(n: int, jumps, weights, l: int, k: int) -> Fraction:
-    """Coroot pairing of the weight character across blocks l and k."""
-    N = len(jumps)
-    if len(weights) != N:
-        raise BadIndex("jumps and weights must have equal length")
-    if not (1 <= l <= N and 1 <= k <= N and l != k):
-        raise BadIndex(f"block pair ({l}, {k}) invalid for chain length {N}")
-    lam = [Fraction(w) for w in weights]
-    a = list(jumps)
-
-    def half(idx):
-        return 2 * n * lam[idx - 1] - 2 * sum(a[: idx - 1]) - a[idx - 1]
-
-    return half(l) - half(k)
 
 
 @dataclass(frozen=True)
 class WeightRegion:
     """Affine inequalities on the weight vector, one pair per block pair."""
 
-    n: int
     constraints: tuple  # (lhs coefficient tuple, relation, rhs) records
 
     def to_jsonable(self):
@@ -172,4 +150,4 @@ def is_admissible(n: int, jumps, weights):
             gap = lam[l - 1] - lam[k - 1]
             if not (lo <= gap <= hi):
                 ok = False
-    return ok, WeightRegion(n, tuple(constraints))
+    return ok, WeightRegion(tuple(constraints))

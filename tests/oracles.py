@@ -21,6 +21,13 @@ containment test the engine had before Subbundle.contains read maximal
 minors; W contains U exactly when [W | U] has rank W.rank.  It shares
 with the engine only the poly kernels (pmul, psub).
 
+pxgcd is the extended Euclidean algorithm, the Bezout cross-check of the
+engine's pgcd; pneg negates a polynomial for the cofactor signs below.
+proper_step_data reads the filtration datum (the induced data of the proper
+steps) off an HN filtration.  chi_pairing is the coroot pairing of the
+weight character, the independent formula that theta.is_admissible's gap
+inequalities are checked against.
+
 induced_jumps_reference recomputes the induced flag jumps of a subbundle
 the direct way, one intersect_dim per flag member, without the engine's
 flag-adapted coordinates.
@@ -54,7 +61,8 @@ import parahn.gf as gf
 from parahn.linalg import intersect_dim, kernel_basis
 from parahn.parabolic import parabolic_degree
 from parahn.rat import ceil_frac, floor_frac
-from parahn.poly import padd, pdeg, pdivmod, pgcd, pmul, pneg, pnorm, pscale, pshift, psub
+from parahn.errors import BadIndex
+from parahn.poly import padd, pdeg, pdivmod, pgcd, pmul, pnorm, pscale, pshift, psub
 from parahn.sheaves import Subbundle, enumerate_subbundles
 
 
@@ -296,6 +304,51 @@ def poly_mat_rank(F, rows):
         if row == n:
             break
     return rk
+
+
+def pneg(F, a):
+    return tuple(F.row_neg(a))
+
+
+def pxgcd(F, a, b):
+    """Extended gcd: (g, s, t) with s*a + t*b = g, g monic or zero."""
+    a, b = pnorm(a), pnorm(b)
+    r0, r1 = a, b
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = pdivmod(F, r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(F, s0, pmul(F, q, s1))
+        t0, t1 = t1, psub(F, t0, pmul(F, q, t1))
+    if r0 and r0[-1] != 1:
+        u = F.inv(r0[-1])
+        r0, s0, t0 = pscale(F, r0, u), pscale(F, s0, u), pscale(F, t0, u)
+    return r0, s0, t0
+
+
+def proper_step_data(filt):
+    """Induced data of the proper steps of an HN filtration (the full step
+    carries no information): the filtration datum that fil_points takes."""
+    return tuple(
+        theta for W, theta in zip(filt.steps, filt.step_data) if W.rank < filt.bundle.rank
+    )
+
+
+def chi_pairing(n: int, jumps, weights, l: int, k: int) -> Fraction:
+    """Coroot pairing of the weight character across blocks l and k."""
+    N = len(jumps)
+    if len(weights) != N:
+        raise BadIndex("jumps and weights must have equal length")
+    if not (1 <= l <= N and 1 <= k <= N and l != k):
+        raise BadIndex(f"block pair ({l}, {k}) invalid for chain length {N}")
+    lam = [Fraction(w) for w in weights]
+    a = list(jumps)
+
+    def half(idx):
+        return 2 * n * lam[idx - 1] - 2 * sum(a[: idx - 1]) - a[idx - 1]
+
+    return half(l) - half(k)
 
 
 # -- the Smith + Birkhoff quotient ----------------------------------------------

@@ -17,7 +17,6 @@ from parahn.hn import (
     enumerate_F,
     family_scan,
     fil_points,
-    filtration_datum,
     find_P_destabilizing,
     hn_datum,
     hn_filtration,
@@ -35,7 +34,7 @@ from parahn.parabolic import (
 from parahn.poly import pnorm
 from parahn.rat import floor_frac
 from parahn.sheaves import SplitBundle, enumerate_subbundles, quotient_bundle
-from parahn.theta import one_step, wt_chi, wt_combined, wt_det, chi_pairing, is_admissible
+from parahn.theta import is_admissible, theta_filtration, wt_chi, wt_combined, wt_det
 
 from conftest import (
     F3,
@@ -49,10 +48,12 @@ from conftest import (
 from oracles import (
     TransitionBundle,
     birkhoff_factorize,
+    chi_pairing,
     laurent_matmul,
     lfrom_poly,
     lmonomial,
     poly_matmul,
+    proper_step_data,
     rank2_oracle,
     smith_form,
 )
@@ -193,7 +194,7 @@ def test_criterion_07_quot_and_fil_counts():
         assert len(unaligned) == q
     singletons = 0
     for V, filt, _ in _suite_data():
-        chains = fil_points(V, filtration_datum(filt))
+        chains = fil_points(V, proper_step_data(filt))
         assert len(chains) == 1
         if filt.length > 1:
             assert chains[0] == filt.steps[:-1]
@@ -214,7 +215,7 @@ def test_criterion_08_theta_identity_and_stability_equivalence():
             lines.extend(enumerate_subbundles(E, 1, d, d))
         for W in lines[:4]:
             for m in (0, 2):
-                filtr = one_step(V, W, m)
+                filtr = theta_filtration(V, ((m, W),))
                 chi_sum = Fraction(0)
                 N = V.flags[0].chain_length
                 for i in range(1, N + 1):
@@ -233,13 +234,13 @@ def test_criterion_08_theta_identity_and_stability_equivalence():
         best = None
         for d in range(max(E.twists), d_min - 1, -1):
             for W in enumerate_subbundles(E, 1, d, d):
-                w = wt_combined(V, one_step(V, W))
+                w = wt_combined(V, theta_filtration(V, ((1, W),)))
                 if best is None or w > best:
                     best = w
         semistable = filt.length == 1
         assert semistable == (best <= 0)
         if not semistable:
-            assert wt_combined(V, one_step(V, filt.steps[0])) > 0
+            assert wt_combined(V, theta_filtration(V, ((1, filt.steps[0]),))) > 0
         equiv += 1
     report(8, f"weight identity on {identities} filtrations; stability equivalence on {equiv} instances")
 
@@ -266,7 +267,7 @@ def test_criterion_10_bound_set_containments():
         assert classical in enumerate_F(datum, npts)
         b_set = enumerate_B(datum, V.weights)
         assert datum in b_set
-        psi = filtration_datum(filt)
+        psi = proper_step_data(filt)
         cands = sigma_candidates(datum, tuple(fl.chain_length for fl in V.flags))
         if len(set(datum)) == 1:
             assert psi == () and cands == ()

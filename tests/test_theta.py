@@ -3,13 +3,11 @@ from fractions import Fraction
 import pytest
 
 from parahn.errors import BadIndex, BadWeights, InvalidFiltration, MultiplePoints
-from parahn.hn import hn_filtration, is_semistable, max_destabilizing
+from parahn.hn import hn_filtration
 from parahn.sheaves import enumerate_subbundles, full_subbundle, make_subbundle
 from parahn.theta import (
     ThetaFiltration,
-    chi_pairing,
     is_admissible,
-    one_step,
     theta_filtration,
     wt_chi,
     wt_combined,
@@ -17,6 +15,7 @@ from parahn.theta import (
 )
 
 from conftest import F3, one_point_aligned, two_point_aligned
+from oracles import chi_pairing
 
 
 def axis_e1(E):
@@ -29,13 +28,13 @@ def line_t1(E):
 
 def test_combined_weight_one_point_aligned():
     V = one_point_aligned()
-    F = one_step(V, axis_e1(V.bundle))
+    F = theta_filtration(V, ((1, axis_e1(V.bundle)),))
     assert wt_combined(V, F) == 1  # 2*(3/4*2 - 1*1)
 
 
 def test_combined_weight_two_point_aligned():
     V = two_point_aligned()
-    F = one_step(V, axis_e1(V.bundle))
+    F = theta_filtration(V, ((1, axis_e1(V.bundle)),))
     assert wt_combined(V, F) == 2  # 2*(3/2*2 - 2*1)
 
 
@@ -49,7 +48,7 @@ def test_trivial_filtration_weights_vanish():
 
 def test_chi_weight_aligned_step():
     V = one_point_aligned()
-    F = one_step(V, axis_e1(V.bundle))
+    F = theta_filtration(V, ((1, axis_e1(V.bundle)),))
     assert wt_chi(V, F, 0, 1, 2) == 1
     assert wt_chi(V, F, 0, 2, 1) == -1
     with pytest.raises(BadIndex):
@@ -60,10 +59,11 @@ def test_chi_weight_aligned_step():
 
 def test_det_weight_examples():
     V = one_point_aligned()
-    assert wt_det(V, one_step(V, axis_e1(V.bundle))) == 0
-    assert wt_det(V, one_step(V, line_t1(V.bundle))) == -4
+    assert wt_det(V, theta_filtration(V, ((1, axis_e1(V.bundle)),))) == 0
+    assert wt_det(V, theta_filtration(V, ((1, line_t1(V.bundle)),))) == -4
+    V2 = two_point_aligned()
     with pytest.raises(MultiplePoints):
-        wt_det(two_point_aligned(), one_step(two_point_aligned(), axis_e1(two_point_aligned().bundle)))
+        wt_det(V2, theta_filtration(V2, ((1, axis_e1(V2.bundle)),)))
 
 
 def test_filtration_validation():
@@ -78,7 +78,7 @@ def test_filtration_validation():
 def test_weight_independent_of_step_placement():
     V = one_point_aligned()
     W = axis_e1(V.bundle)
-    vals = {wt_combined(V, one_step(V, W, weight=m)) for m in (-3, 0, 1, 7)}
+    vals = {wt_combined(V, theta_filtration(V, ((m, W),))) for m in (-3, 0, 1, 7)}
     assert len(vals) == 1
 
 
@@ -128,7 +128,7 @@ def test_decomposition_identity_single_point():
     for d in (0, -1, -2):
         for W in enumerate_subbundles(E, 1, d, d):
             for m in (0, 1, 3):
-                assert _decomposition_residual(V, one_step(V, W, m)) == 0
+                assert _decomposition_residual(V, theta_filtration(V, ((m, W),))) == 0
                 count += 1
     assert count >= 100
 
@@ -139,11 +139,12 @@ def test_stability_equivalence_on_fixtures():
         steps = []
         for d in (0, -1):
             steps.extend(enumerate_subbundles(E, 1, d, d))
-        max_wt = max(wt_combined(V, one_step(V, W)) for W in steps)
-        assert is_semistable(V) == (max_wt <= 0)
-        if not is_semistable(V):
-            U = max_destabilizing(V)
-            assert wt_combined(V, one_step(V, U)) > 0
+        max_wt = max(wt_combined(V, theta_filtration(V, ((1, W),))) for W in steps)
+        filt = hn_filtration(V)
+        assert (filt.length == 1) == (max_wt <= 0)
+        if filt.length != 1:
+            U = filt.steps[0]
+            assert wt_combined(V, theta_filtration(V, ((1, U),))) > 0
 
 
 def test_chi_pairing_examples():
@@ -205,4 +206,4 @@ def test_admissibility_matches_pairing_bound():
 def test_unstable_bundle_admits_positive_one_step():
     V = two_point_aligned()
     filt = hn_filtration(V)
-    assert wt_combined(V, one_step(V, filt.steps[0])) > 0
+    assert wt_combined(V, theta_filtration(V, ((1, filt.steps[0]),))) > 0
