@@ -1,11 +1,11 @@
 """Command-line surface: one command per process, deterministic JSON reports.
 
 Exit codes: 0 success, 1 domain error, 2 enumeration budget exhausted or a
-command-line usage error (argparse's, a PARAHN_BUDGET that is not an integer
-included), 3 internal error (NonUniqueMaximum or an AssertionError from the
-engine; the report is still emitted and names the error class).  The report
-payload is byte-stable for identical inputs and flags; only the timing_ms
-field varies between runs.
+command-line usage error (argparse's, a PARAHN_BUDGET that is not a
+nonnegative integer included), 3 internal error (NonUniqueMaximum or an
+AssertionError from the engine; the report is still emitted and names the
+error class).  The report payload is byte-stable for identical inputs and
+flags; only the timing_ms field varies between runs.
 """
 
 from __future__ import annotations
@@ -314,16 +314,19 @@ def _extend_spec(spec: BundleSpec, m: int) -> BundleSpec:
 
 
 def _budget(text: str) -> int:
-    """The type of --budget.  argparse also applies it to a string default,
-    so a PARAHN_BUDGET that is not an integer is a usage error too, unless
-    --budget is given."""
+    """The type of --budget: a nonnegative integer.  argparse also applies
+    it to a string default, so a PARAHN_BUDGET that is not one is a usage
+    error too, unless --budget is given."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
+        value = None
+    if value is None or value < 0:
         raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer (from --budget, or from PARAHN_BUDGET "
-            "when --budget is not given)"
-        ) from None
+            f"{text!r} is not a nonnegative integer (from --budget, or from "
+            "PARAHN_BUDGET when --budget is not given)"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

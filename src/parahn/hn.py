@@ -52,7 +52,6 @@ from .parabolic import (
     scaled_degree,
 )
 from .poly import pmap, peval, pnorm
-from .rat import ceil_frac, floor_frac
 from .sheaves import (
     DEFAULT_BUDGET,
     SplitBundle,
@@ -371,8 +370,8 @@ def enumerate_F(P, num_points: int):
     P = tuple(Fraction(x) for x in P)
     n = len(P)
     fact = math.factorial(n)
-    lo = ceil_frac((sum(P) - n * num_points - (n - 1) * P[0]) * fact)
-    nums = range(floor_frac(P[0] * fact), lo - 1, -1)
+    lo = math.ceil((sum(P) - n * num_points - (n - 1) * P[0]) * fact)
+    nums = range(math.floor(P[0] * fact), lo - 1, -1)
     out = [
         tuple(Fraction(v, fact) for v in t)
         for t in itertools.combinations_with_replacement(nums, n)
@@ -399,8 +398,8 @@ def enumerate_B(Q, weights):
     lo = sum(Q) - (n - 1) * Q[0]
     values = set()
     for x in xs:
-        z_lo = ceil_frac(lo * fact - x)
-        z_hi = floor_frac(hi * fact - x)
+        z_lo = math.ceil(lo * fact - x)
+        z_hi = math.floor(hi * fact - x)
         for z in range(z_lo, z_hi + 1):
             values.add(Fraction(z + x, fact))
     vals = sorted(values, reverse=True)
@@ -427,7 +426,7 @@ def sigma_candidates(P, chain_lengths):
             [c for c in itertools.product(range(k + 1), repeat=N) if sum(c) == k]
             for N in chain_lengths
         ]
-        degrees = range(ceil_frac(prefix - k * num_points), floor_frac(prefix) + 1)
+        degrees = range(math.ceil(prefix - k * num_points), math.floor(prefix) + 1)
         step_choices.append(
             [
                 QuotDatum(k, d, jumps)

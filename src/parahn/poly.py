@@ -9,9 +9,8 @@ kernels over the prime field, and imports poly).
 The arithmetic kernels work on coefficient rows through the field's row
 primitives (GF.row_add, GF.row_addmul, ...): a product is one shifted
 x + c*y per term of the shorter factor, a division step one shifted x - c*y,
-never one element method call per coefficient.  padd and psub return early on
-a zero second operand and pmul scales directly by a constant factor, cases
-that are common in the minor expansions and eliminations of sheaves.
+never one element method call per coefficient.  psub returns early on a zero
+second operand and pmul scales directly by a constant factor.
 """
 
 from __future__ import annotations
@@ -37,16 +36,6 @@ def pnorm(c) -> tuple:
 def pdeg(a):
     """Degree; the zero polynomial gets the -inf sentinel."""
     return len(a) - 1 if a else MINUS_INF
-
-
-def padd(F: GF, a, b):
-    if not b:
-        return pnorm(a)
-    if len(a) < len(b):
-        a, b = b, a
-    out = F.row_add(a, b)
-    out.extend(a[len(b):])
-    return pnorm(out)
 
 
 def psub(F: GF, a, b):

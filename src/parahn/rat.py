@@ -23,12 +23,3 @@ def rat_parse(s) -> Fraction:
         raise ParseError(f"zero denominator in {s!r}")
     return Fraction(int(num), int(den or 1))
 
-
-def ceil_frac(x) -> int:
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
-
-
-def floor_frac(x) -> int:
-    f = Fraction(x)
-    return f.numerator // f.denominator

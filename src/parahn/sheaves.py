@@ -8,20 +8,23 @@ mere subsheaf) exactly when the r x r minors have unit gcd and some minor
 attains its maximal homogeneous degree, i.e. the columns stay independent at
 every point of the projective line over the algebraic closure.
 
-The maximal minors are built one column at a time: the k x k minors of the
-first k columns extend to the (k+1) x (k+1) minors by one Laplace expansion
-along the next column, k+1 products per minor and no cofactor recursion.
-subbundle_validate and the enumerator share that expansion and one
-saturation test on its result.  The enumerator expands only its column
-prefixes that way: once the prefix is fixed, the maximal minors are
-F_q-linear in the last column's coefficients, so each last column updates
-the flattened minors of the one before it by a row_addmul or two.
+The maximal minors are kept in one form: flattened, the minor on each
+r-subset S of rows laid out in combinations order as its coefficients up to
+its degree bound sum_{j in S} a_j - sum_k d_k.  They grow one column at a
+time.  Expanding a minor on S along an appended column c gives
+sum_{j in S} +-c_j M_{S-j}, so each free coefficient t^e of c_j adds
++-M_{S-j} at offset e of the block of S; one cached table per shape
+(_expansion) lists these placements.  A concrete column extends a flat
+vector through the table directly; the enumerator turns the table into one
+image per free coefficient and walks the columns of every level by
+F_q-linear updates of those images.
 
-Every other question about a presentation's columns reads the same minors.
+Every question about a presentation's columns reads these minors.
+subbundle_validate asks that they pass one saturation test;
 Subbundle.contains extends a subbundle's cached minors by each column of
-the other and asks that every (r+1)-minor vanish; quotient_bundle
-validates its input with subbundle_validate; saturate's injectivity test
-asks that some maximal minor survive.
+the other and asks that every (r+1)-minor vanish; make_subbundle and
+quotient_bundle validate through a Subbundle's cached minors; saturate's
+injectivity test asks that some maximal minor survive.
 
 Identity of subbundles is identity of subsheaves: the canonical key is the
 reduced echelon basis of a twisted section space, so presentations related by
@@ -56,15 +59,12 @@ from .gf import GF
 from .linalg import kernel_basis, rref
 from .poly import (
     MINUS_INF,
-    padd,
     pdeg,
     peval,
     pgcd,
     pmap,
-    pmul,
     pnorm,
     pshift,
-    psub,
 )
 
 DEFAULT_BUDGET = 10 ** 8
@@ -157,24 +157,21 @@ class Subbundle:
 
     @cached_property
     def _minors(self):
-        """The r x r minors of the presentation, as _maximal_minors lays
-        them out."""
-        F, n = self.bundle.field, self.bundle.rank
-        return _maximal_minors(F, n, tuple(zip(*self.mat)))
+        """The flattened maximal minors of the presentation (_flat_minors)."""
+        return _flat_minors(self.bundle, self.col_twists, zip(*self.mat))
 
     def contains(self, other: "Subbundle") -> bool:
         """Subsheaf containment: other's columns lie in the generic span,
         i.e. for each column u of other every (r+1)-minor of self's columns
         followed by u vanishes.  A full-rank self has no such minors."""
-        if other.rank == 0:
-            return True
         if other.rank > self.rank:
             return False
-        F, n = self.bundle.field, self.bundle.rank
-        plan = _laplace_plan(n, self.rank)
-        return not any(
-            any(_extend_minors(F, self._minors, u, plan)) for u in zip(*other.mat)
-        )
+        E, minors = self.bundle, self._minors
+        for d, u in zip(other.col_twists, zip(*other.mat)):
+            table, offsets = _expansion(E.twists, self.col_twists, d)
+            if any(_extend(E.field, minors, u, table, offsets[-1])):
+                return False
+        return True
 
     def extend_scalars(self, m: int) -> "Subbundle":
         big, embed = self.bundle.field.extension(m)
@@ -212,58 +209,99 @@ def _check_shape(E: SplitBundle, col_twists, mat):
 
 
 @cache
-def _laplace_plan(n: int, k: int):
-    """How the (k+1)-row minors of k+1 columns expand along the last column.
+def _expansion(twists, dvec, d):
+    """How the flattened maximal minors of columns of twists dvec extend
+    by a column of twist d: (table, offsets).
 
-    One entry per (k+1)-subset S of range(n), in combinations order: a
-    triple (j, i, neg) per row j of S, where i indexes S - {j} among the
-    k-subsets in combinations order and neg says the cofactor sign
-    (-1)^(p+k) of j's position p in S is negative.
+    offsets lays out the extended minors: the minor on the s-th
+    (k+1)-subset S of rows, k = len(dvec), in combinations order, fills
+    offsets[s] up to offsets[s + 1], its coefficients low degree first up
+    to its bound sum_{j in S} a_j - sum dvec - d (none if the bound is
+    negative: it vanishes), and offsets[-1] is the length.
+
+    table[j] = (free, terms) for row j of the new column: free is the
+    number of its free coefficients, a_j - d + 1 or 0, and each term
+    (at, lo, hi, neg) says the coefficient of t^e adds the old minor on
+    S - {j}, flat[lo:hi], at offset at + e, negated if the cofactor sign
+    (-1)^(p+k) of j's position p in S is.  The degree bounds make the
+    placement fit its block.
     """
+    n, k = len(twists), len(dvec)
+    old = _offsets(twists, dvec)
+    offsets = _offsets(twists, dvec + (d,))
     index = {S: i for i, S in enumerate(itertools.combinations(range(n), k))}
-    return tuple(
-        tuple((j, index[S[:p] + S[p + 1:]], (p + k) % 2 == 1) for p, j in enumerate(S))
-        for S in itertools.combinations(range(n), k + 1)
+    terms = [[] for _ in range(n)]
+    for at, S in zip(offsets, itertools.combinations(range(n), k + 1)):
+        for p, j in enumerate(S):
+            i = index[S[:p] + S[p + 1:]]
+            if old[i] < old[i + 1]:
+                terms[j].append((at, old[i], old[i + 1], (p + k) % 2 == 1))
+    table = tuple(
+        (max(0, a - d + 1), tuple(t)) for a, t in zip(twists, terms)
     )
+    return table, offsets
 
 
-def _extend_minors(F: GF, minors, col, plan):
-    """The (k+1)-row minors of a prefix of k columns followed by col, from
-    the prefix's k-row minors: k+1 products each, by Laplace expansion
-    along col."""
-    out = []
-    for terms in plan:
-        acc = ()
-        for j, i, neg in terms:
-            c = col[j]
-            m = minors[i]
-            if c and m:
-                acc = psub(F, acc, pmul(F, c, m)) if neg else padd(F, acc, pmul(F, c, m))
-        out.append(acc)
+def _offsets(twists, dvec):
+    """The layout of the flattened maximal minors of columns of twists dvec
+    (see _expansion); no columns have one minor, the constant 1."""
+    dsum = sum(dvec)
+    offsets = [0]
+    for S in itertools.combinations(range(len(twists)), len(dvec)):
+        offsets.append(offsets[-1] + max(0, sum(twists[j] for j in S) - dsum + 1))
+    return tuple(offsets)
+
+
+def _extend(F: GF, flat, col, table, size):
+    """The flattened minors of a presentation followed by the column col,
+    from the presentation's flattened minors flat: each nonzero
+    coefficient places its terms of table (_expansion).  An entry above
+    its degree bound raises DegreeBoundViolated."""
+    out = [0] * size
+    for j, (c, (free, terms)) in enumerate(zip(col, table)):
+        if len(c) > free:
+            raise DegreeBoundViolated(
+                f"row {j} has degree {len(c) - 1}, bound {free - 1}"
+            )
+        for e, x in enumerate(c):
+            if x:
+                nx = F.neg(x)
+                for at, lo, hi, neg in terms:
+                    at += e
+                    end = at + hi - lo
+                    out[at:end] = F.row_addmul(out[at:end], nx if neg else x, flat[lo:hi])
     return out
 
 
-def _full_degrees(E: SplitBundle, col_twists):
-    """Per r-subset S of rows, in combinations order, the degree bound
-    sum_{j in S} a_j - sum_k d_k of the minor on S."""
-    dsum = sum(col_twists)
-    return tuple(
-        sum(E.twists[j] for j in S) - dsum
-        for S in itertools.combinations(range(E.rank), len(col_twists))
-    )
+def _flat_minors(E: SplitBundle, col_twists, cols):
+    """The flattened maximal minors of the columns cols, of twists
+    col_twists, extended one column at a time from the constant 1."""
+    flat = [1]
+    for k, col in enumerate(cols):
+        table, offsets = _expansion(E.twists, col_twists[:k], col_twists[k])
+        flat = _extend(E.field, flat, col, table, offsets[-1])
+    return flat
 
 
-def _saturated(F: GF, minors, full_degrees) -> bool:
-    """The saturation test on the maximal minors of a presentation: their
-    gcd is 1 (the columns stay independent at every finite point) and some
-    minor reaches its degree bound (they stay independent at infinity).
-    Stops as soon as both hold."""
+def _split(flat, offsets):
+    """The polynomials that offsets lays out in flat, low degree first: the
+    maximal minors of a flattened vector, or the entries of a column whose
+    free coefficients are flat (a column is its own minors)."""
+    return tuple(pnorm(flat[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
+
+
+def _saturated(F: GF, minors, offsets) -> bool:
+    """The saturation test on the maximal minors of a presentation, as
+    _split gives them: their gcd is 1 (the columns stay independent at
+    every finite point) and some minor reaches its degree bound, the
+    length of its block (they stay independent at infinity).  Stops as
+    soon as both hold."""
     g = ()
     lead_ok = False
-    for m, full in zip(minors, full_degrees):
+    for m, lo, hi in zip(minors, offsets, offsets[1:]):
         if not m:
             continue
-        if len(m) - 1 == full:
+        if len(m) == hi - lo:
             lead_ok = True
         if g != (1,):
             g = pgcd(F, g, m)
@@ -272,32 +310,27 @@ def _saturated(F: GF, minors, full_degrees) -> bool:
     return False
 
 
-def _maximal_minors(F: GF, n: int, cols):
-    """The r x r minors of the n x r matrix with the given columns, one per
-    r-subset of rows in combinations order, built one column at a time."""
-    minors = ((1,),)  # the empty minor
-    for k, col in enumerate(cols):
-        minors = _extend_minors(F, minors, col, _laplace_plan(n, k))
-    return minors
+def _is_subbundle(W: Subbundle) -> bool:
+    """Whether the presentation W, checked for shape and degree bounds,
+    defines a subbundle: its cached minors pass _saturated."""
+    E = W.bundle
+    _check_shape(E, W.col_twists, W.mat)
+    if not W.col_twists:
+        return True
+    offsets = _offsets(E.twists, W.col_twists)
+    return _saturated(E.field, _split(W._minors, offsets), offsets)
 
 
 def subbundle_validate(E: SplitBundle, col_twists, mat) -> bool:
-    """True iff the presentation defines a subbundle (torsion-free cokernel):
-    its maximal minors, built by prefix Laplace passes, pass _saturated."""
-    col_twists = tuple(col_twists)
-    mat = tuple(tuple(pnorm(e) for e in row) for row in mat)
-    _check_shape(E, col_twists, mat)
-    if not col_twists:
-        return True
-    cols = tuple(zip(*mat))
-    minors = _maximal_minors(E.field, E.rank, cols)
-    return _saturated(E.field, minors, _full_degrees(E, col_twists))
+    """True iff the presentation defines a subbundle (torsion-free cokernel)."""
+    return _is_subbundle(Subbundle(E, col_twists, mat))
 
 
 def make_subbundle(E: SplitBundle, col_twists, mat) -> Subbundle:
-    if not subbundle_validate(E, col_twists, mat):
+    W = Subbundle(E, col_twists, mat)
+    if not _is_subbundle(W):
         raise InvalidSubbundle("presentation does not define a subbundle")
-    return Subbundle(E, col_twists, mat)
+    return W
 
 
 def section_twist(E: SplitBundle, col_twists) -> int:
@@ -371,47 +404,6 @@ def nonincreasing_tuples(values, k: int, total):
     return out
 
 
-def _column_slots(E: SplitBundle, d_k: int):
-    """(row, ncoeffs) pairs for the free entries of a column of twist d_k."""
-    return [
-        (j, E.twists[j] - d_k + 1)
-        for j in range(E.rank)
-        if E.twists[j] >= d_k
-    ]
-
-
-def _column(n: int, slots, flat):
-    """The column, as an n-tuple of polynomials, whose free slots hold the
-    coefficient vector flat, slot by slot, low degree first."""
-    col = [()] * n
-    at = 0
-    for j, s in slots:
-        col[j] = pnorm(flat[at:at + s])
-        at += s
-    return tuple(col)
-
-
-def _column_candidates(F: GF, n: int, slots):
-    """All nonzero columns with the given free slots, as n-tuples of
-    polynomials, first nonzero coefficient pinned to 1.
-
-    Scaling a column never changes the subsheaf, so one representative per
-    scalar class is enough.  The order is that of the coefficient vectors:
-    the position of the leading 1, then the rest counting up in base q with
-    the last coefficient fastest, the order _saturated_choices walks the last
-    column in.  A generator: a rank-1 window streams its one column list.
-    """
-    total = sum(s for _, s in slots)
-    for lead in range(total):
-        for rest in itertools.product(range(F.q), repeat=total - lead - 1):
-            yield _column(n, slots, (0,) * lead + (1,) + rest)
-
-
-def _count_column_candidates(q: int, slots) -> int:
-    total = sum(s for _, s in slots)
-    return (q ** total - 1) // (q - 1)
-
-
 def enumerate_candidate_count(E: SplitBundle, r: int, d: int, min_col_twist: int) -> int:
     q = E.field.q
     count = 0
@@ -419,20 +411,10 @@ def enumerate_candidate_count(E: SplitBundle, r: int, d: int, min_col_twist: int
     for vec in nonincreasing_tuples(twists, r, d):
         prod = 1
         for dk in vec:
-            prod *= _count_column_candidates(q, _column_slots(E, dk))
+            free = _offsets(E.twists, (dk,))[-1]  # a column is its own minors
+            prod *= (q ** free - 1) // (q - 1)
         count += prod
     return count
-
-
-def _minor_offsets(full_degrees):
-    """The layout of the flattened maximal minors: the minor on the s-th
-    row subset fills the full_degrees[s] + 1 coefficients from offsets[s]
-    on, low degree first (none if its bound is negative: it vanishes), and
-    offsets[-1] is the length."""
-    offsets = [0]
-    for f in full_degrees:
-        offsets.append(offsets[-1] + max(0, f + 1))
-    return offsets
 
 
 def _minor_key(F: GF, flat):
@@ -449,25 +431,21 @@ def _minor_key(F: GF, flat):
 def _saturated_choices(F: GF, E: SplitBundle, vec):
     """The subbundles presented by one candidate column per twist in vec,
     one column tuple per subsheaf: of the choices with equal minor keys,
-    the last saturated one in itertools.product order over the candidate
-    lists.
+    the last saturated one in candidate-product order.
 
-    The first r - 1 columns: a depth-first walk keeps the k x k minors of
-    the chosen prefix and extends them by one Laplace pass per new column.
-    A prefix whose minors all vanish has dependent columns, so nothing
-    under it validates and its whole subtree is skipped.
-
-    The last column, by linearity.  With the prefix fixed, expanding the
-    minor on a row subset S along the last column c gives
-    sum_{j in S} +-c_j M_{S-j}, where M are the prefix's minors; with
-    c_j = sum_e x_{j,e} t^e, every maximal minor is an F_q-linear function
-    of the coefficient vector x.  Each minor on S has degree at most its
-    full degree, so the minors flatten to one vector of fixed layout
-    (_minor_offsets), and the flattened minors of x are sum_p x_p img_p,
-    where img_p, the image of the p-th coefficient slot, is computed once
-    per prefix.  The last column is never built: an odometer walks x in
-    _column_candidates order, and a coefficient going from c to c' adds
-    (c' - c) img_p, one row_addmul, about q/(q-1) of them per step.
+    A depth-first walk over the columns.  With a prefix of k columns fixed,
+    expanding the minor on a (k+1)-subset S of rows along the next column c
+    gives sum_{j in S} +-c_j M_{S-j}, where M are the prefix's flattened
+    minors; with c_j = sum_e x_{j,e} t^e, the extended minors are
+    sum_p x_p img_p, F_q-linear in the coefficient vector x.  The image
+    img_p of each coefficient is read off the cached table _expansion
+    once per prefix.  At every level alike an odometer walks x over the
+    candidates in their order (the position of the leading 1, then the
+    rest counting up in base q, the last coefficient fastest), and a
+    coefficient going from c to c' adds (c' - c) img_p: one row_addmul,
+    about q/(q-1) of them per step.  A prefix whose minors all vanish has
+    dependent columns, so nothing under it validates and its whole subtree
+    is skipped.
 
     Saturation is tested once per minor key.  A key scales the flattened
     minors so their first nonzero coefficient is 1, so two choices share a
@@ -475,79 +453,59 @@ def _saturated_choices(F: GF, E: SplitBundle, vec):
     nonzero constant.  Then the gcds of m and m' agree (gcds are monic) and
     so does the degree of every minor, so _saturated, unit gcd and some
     minor at its full degree, gives both the same verdict.  The kept
-    choice is recorded as (prefix, coefficient vector) and turned into
-    columns only once the walk is over.
+    choice is recorded as its coefficient vectors and turned into columns
+    only once the walk is over.
     """
-    n, r = E.rank, len(vec)
-    cands = [list(_column_candidates(F, n, _column_slots(E, dk))) for dk in vec[:-1]]
-    plans = [_laplace_plan(n, k) for k in range(r)]
-    full = _full_degrees(E, vec)
-    offsets = _minor_offsets(full)
-    blocks = list(zip(offsets, offsets[1:]))
-    slots = _column_slots(E, vec[-1])
-    # per row of the last column: (offset of S, index of S - {j}, sign)
-    # for every row subset S that contains it
-    terms = {j: [] for j, _ in slots}
-    for at, expansion in zip(offsets, plans[r - 1]):
-        for j, i, neg in expansion:
-            if j in terms:
-                terms[j].append((at, i, neg))
+    r = len(vec)
+    levels = [_expansion(E.twists, vec[:k], vec[k]) for k in range(r)]
+    offsets = levels[-1][1]
     top = F.q - 1
     step = [F.sub(c + 1, c) for c in range(top)]  # c -> c + 1
     wrap = F.sub(0, top)  # top -> 0
     addmul = F.row_addmul
-    kept = {}  # minor key -> False (not saturated) or (prefix, coefficients)
+    kept = {}  # minor key -> False (not saturated) or coefficient vectors
 
-    def leaves(minors, prefix):
-        signed = [(m, F.row_neg(m)) for m in minors]
+    def walk(k, flat, prefix):
+        table, offs = levels[k]
+        neg = F.row_neg(flat)
         imgs = []
-        for j, size in slots:
-            for e in range(size):
-                img = [0] * offsets[-1]
-                for at, i, neg in terms[j]:
-                    m = signed[i][neg]
-                    img[at + e:at + e + len(m)] = m
+        for free, terms in table:
+            for e in range(free):
+                img = [0] * offs[-1]
+                for at, lo, hi, sign in terms:
+                    img[at + e:at + e + hi - lo] = (neg if sign else flat)[lo:hi]
                 imgs.append(img)
         total = len(imgs)
         for lead in range(total):
             x = [0] * total
             x[lead] = 1
-            flat = imgs[lead]
+            m = imgs[lead]
             while True:
-                key = _minor_key(F, flat)
-                if key is not None:
+                if k < r - 1:
+                    if any(m):
+                        walk(k + 1, m, prefix + (tuple(x),))
+                elif (key := _minor_key(F, m)) is not None:
                     got = kept.get(key)
-                    if got is None and not _saturated(
-                        F, [pnorm(key[a:b]) for a, b in blocks], full
-                    ):
+                    if got is None and not _saturated(F, _split(key, offsets), offsets):
                         got = kept[key] = False
                     if got is not False:
-                        kept[key] = (prefix, tuple(x))
+                        kept[key] = prefix + (tuple(x),)
                 p = total - 1
                 while p > lead and x[p] == top:
                     x[p] = 0
-                    flat = addmul(flat, wrap, imgs[p])
+                    m = addmul(m, wrap, imgs[p])
                     p -= 1
                 if p == lead:
                     break
                 c = x[p]
                 x[p] = c + 1
-                flat = addmul(flat, step[c], imgs[p])
+                m = addmul(m, step[c], imgs[p])
 
-    def walk(k, minors, prefix):
-        if k == r - 1:
-            leaves(minors, prefix)
-            return
-        for col in cands[k]:
-            ext = _extend_minors(F, minors, col, plans[k])
-            if any(ext):
-                walk(k + 1, ext, prefix + (col,))
-
-    walk(0, ((1,),), ())
-    last = {}  # coefficients -> column: kept choices share their last columns
+    walk(0, [1], ())
+    layouts = [_offsets(E.twists, (d,)) for d in vec]
     return [
-        prefix + (last.get(x) or last.setdefault(x, _column(n, slots, x)),)
-        for prefix, x in filter(None, kept.values())
+        tuple(_split(x, o) for x, o in zip(xs, layouts))
+        for xs in filter(None, kept.values())
     ]
 
 
@@ -564,15 +522,14 @@ def enumerate_subbundles(
     summing to d; the result is sorted by canonical key.
 
     Each column ranges over the nonzero fills of its degree bounds with the
-    first nonzero coefficient 1.  At rank 1 the column is its own minors:
-    it is tested for saturation and, pinned, is its own subsheaf.  At
-    higher rank (_saturated_choices) a depth-first walk over the column
-    lists, in itertools.product order, keeps the minors of the chosen
-    prefix, extends them by one Laplace pass per column, and skips the
-    subtree of a prefix whose minors all vanish (its columns are
-    dependent).  Under a prefix the maximal minors are linear in the last
-    column's coefficients, so each last column costs a row_addmul or two
-    on the flattened minors, not a Laplace pass.  The minors give the
+    first nonzero coefficient 1.  At rank 1 the coefficient vector is its
+    own flattened minors, and split it is the column: it is tested for
+    saturation and, pinned, is its own subsheaf.  At higher rank
+    (_saturated_choices) a depth-first walk keeps the flattened minors of
+    the chosen prefix and, since the minors are linear in the next
+    column's coefficients, steps through each level's columns by a
+    row_addmul or two on them, skipping the subtree of a prefix whose
+    minors all vanish (its columns are dependent).  The minors give the
     saturation test (unit gcd, and some minor at its full degree
     sum_S a_j - sum_k d_k) and the key: the flattened minors scaled so the
     first nonzero coefficient is 1.  The test runs once per key, since
@@ -594,7 +551,6 @@ def enumerate_subbundles(
     kept.  Reports print these matrices, so another enumeration order must
     keep them or change the reports.
     """
-    n = E.rank
     E.check_subbundle_rank(r)
     if d > sum(E.twists[:r]):
         return ()
@@ -605,19 +561,18 @@ def enumerate_subbundles(
     subs = []
     twists = range(max(E.twists), min_col_twist - 1, -1)
     for vec in nonincreasing_tuples(twists, r, d):
-        if r == 1:
-            full = _full_degrees(E, vec)
-            subs.extend(
-                Subbundle(E, vec, tuple(zip(col)))
-                for col in _column_candidates(F, n, _column_slots(E, vec[0]))
-                if _saturated(F, col, full)
-            )
-        else:
+        if r > 1:
             subs.extend(Subbundle(E, vec, tuple(zip(*cols)))
                         for cols in _saturated_choices(F, E, vec))
+            continue
+        offsets = _offsets(E.twists, vec)
+        total = offsets[-1]
+        for lead in range(total):
+            for rest in itertools.product(range(F.q), repeat=total - lead - 1):
+                col = _split((0,) * lead + (1,) + rest, offsets)
+                if _saturated(F, col, offsets):
+                    subs.append(Subbundle(E, vec, tuple(zip(col))))
     return tuple(sorted(subs, key=Subbundle.sort_key))
-
-
 
 
 # -- annihilators, quotients and saturation --------------------------------------
@@ -709,13 +664,13 @@ def quotient_bundle(E: SplitBundle, W: Subbundle):
     rows are W^⊥'s generators in the same order: the k-th quotient
     coordinate of a section of E is the k-th form applied to it.  Returns
     (SplitBundle, QuotientMap).  A presentation that is not a subbundle
-    (dependent columns, or torsion in E/W) fails subbundle_validate and
-    raises InvalidSubbundle.
+    (dependent columns, or torsion in E/W) fails the saturation test on
+    W's cached minors and raises InvalidSubbundle.
     """
     F = E.field
     if W.rank == E.rank:
         raise FullRank("cannot form the quotient by a full-rank subbundle")
-    if not subbundle_validate(E, W.col_twists, W.mat):
+    if not _is_subbundle(W):
         raise InvalidSubbundle("presentation does not define a subbundle")
     e, gens = perp(F, E.twists, tuple(zip(*W.mat)), W.col_twists)
     Q = SplitBundle(F, tuple(-x for x in reversed(e)))
@@ -730,7 +685,7 @@ def saturate(E: SplitBundle, col_twists, mat) -> Subbundle:
     _check_shape(E, col_twists, mat)
     F = E.field
     image = tuple(zip(*mat))
-    if not any(_maximal_minors(F, E.rank, image)):
+    if not any(_flat_minors(E, col_twists, image)):
         raise NotInjective("presentation is not generically injective")
     e, forms = perp(F, E.twists, image, col_twists)
     d, cols = perp(F, tuple(-a for a in E.twists), forms, e)

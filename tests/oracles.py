@@ -22,7 +22,8 @@ minors; W contains U exactly when [W | U] has rank W.rank.  It shares
 with the engine only the poly kernels (pmul, psub).
 
 pxgcd is the extended Euclidean algorithm, the Bezout cross-check of the
-engine's pgcd; pneg negates a polynomial for the cofactor signs below.
+engine's pgcd; padd adds two polynomials, the sum the engine no longer
+needs; pneg negates a polynomial for the cofactor signs below.
 proper_step_data reads the filtration datum (the induced data of the proper
 steps) off an HN filtration.  chi_pairing is the coroot pairing of the
 weight character, the independent formula that theta.is_admissible's gap
@@ -47,6 +48,10 @@ its Laurent arithmetic (lnorm ... lmonomial), cofactor determinants
 (poly_det) and products (poly_matmul) live here too.  An impossible step
 raises AssertionError.
 
+aut_order and euler_form are the two closed forms of the stratum-mass
+check: |Aut E| of a split bundle, and the Euler form chi(A, B) of two
+parabolic types.  They share no code with the engine.
+
 SMALL_FIELDS lists every field with q <= 27, prime and extension.  untabled()
 builds a small field the way fields above 256 elements are built, without op
 tables, so the kernels' element-method fallback can be checked against the
@@ -54,15 +59,15 @@ table path on the same inputs.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import parahn.gf as gf
 from parahn.linalg import intersect_dim, kernel_basis
 from parahn.parabolic import parabolic_degree
-from parahn.rat import ceil_frac, floor_frac
 from parahn.errors import BadIndex
-from parahn.poly import padd, pdeg, pdivmod, pgcd, pmul, pnorm, pscale, pshift, psub
+from parahn.poly import pdeg, pdivmod, pgcd, pmul, pnorm, pscale, pshift, psub
 from parahn.sheaves import Subbundle, enumerate_subbundles
 
 
@@ -75,7 +80,7 @@ def rank2_oracle(V):
     assert E.rank == 2
     mu = parabolic_degree(V) / 2
     npts = len(V.points)
-    d_min = floor_frac(mu - npts)
+    d_min = math.floor(mu - npts)
     lines = []
     for d in range(max(E.twists), d_min - 1, -1):
         lines.extend(reference_enumerate(E, 1, d, d))
@@ -120,7 +125,7 @@ def polygon_certificate(V, filt):
             (a, b) for a, b in zip(verts, verts[1:]) if a[0] <= r <= b[0]
         )
         h = h0 + (h1 - h0) * Fraction(r - r0, r1 - r0)
-        d_min = floor_frac(h - r * npts) + 1 if npts else ceil_frac(h)
+        d_min = math.floor(h - r * npts) + 1 if npts else math.ceil(h)
         for d in range(sum(E.twists[:r]), d_min - 1, -1):
             for W in enumerate_subbundles(E, r, d, d - (r - 1) * E.twists[0]):
                 deg = parabolic_degree(V, W)
@@ -306,6 +311,14 @@ def poly_mat_rank(F, rows):
     return rk
 
 
+def padd(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = F.row_add(a, b)
+    out.extend(a[len(b):])
+    return pnorm(out)
+
+
 def pneg(F, a):
     return tuple(F.row_neg(a))
 
@@ -349,6 +362,34 @@ def chi_pairing(n: int, jumps, weights, l: int, k: int) -> Fraction:
         return 2 * n * lam[idx - 1] - 2 * sum(a[: idx - 1]) - a[idx - 1]
 
     return half(l) - half(k)
+
+
+def aut_order(q: int, twists) -> int:
+    """|Aut E| for E = O(a_1) + ... + O(a_n) over F_q: the Levi part
+    prod_i |GL_{m_i}(F_q)|, m_i the multiplicities of the distinct twists,
+    times the unipotent part q^(dim End E - sum_i m_i^2), where
+    dim End E = sum_{i,j} max(0, a_i - a_j + 1)."""
+    dim_end = sum(max(0, a - b + 1) for a in twists for b in twists)
+    mults = [len(list(g)) for _, g in itertools.groupby(sorted(twists))]
+    order = q ** (dim_end - sum(m * m for m in mults))
+    for m in mults:
+        for i in range(m):
+            order *= q ** m - q ** i
+    return order
+
+
+def euler_form(A, B) -> int:
+    """chi(A, B) = dim Hom(A, B) - dim Ext^1(A, B) for parabolic bundles of
+    types A and B, each (rank, degree, jumps per point) in the QuotDatum
+    convention: r_A r_B + r_A d_B - r_B d_A - sum_x sum_{m<m'} b^A_m b^B_m'."""
+    (ra, da, ja), (rb, db, jb) = A, B
+    flags = sum(
+        a * b
+        for x_a, x_b in zip(ja, jb)
+        for m, a in enumerate(x_a)
+        for b in x_b[m + 1:]
+    )
+    return ra * rb + ra * db - rb * da - flags
 
 
 # -- the Smith + Birkhoff quotient ----------------------------------------------

@@ -6,6 +6,7 @@ in {0, -1}, one or two marked points, all full flags, and weights from the
 fixed three-point grid (288 instances).
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -32,7 +33,6 @@ from parahn.parabolic import (
     sub_parabolic,
 )
 from parahn.poly import pnorm
-from parahn.rat import floor_frac
 from parahn.sheaves import SplitBundle, enumerate_subbundles, quotient_bundle
 from parahn.theta import is_admissible, theta_filtration, wt_chi, wt_combined, wt_det
 
@@ -230,7 +230,7 @@ def test_criterion_08_theta_identity_and_stability_equivalence():
     for V, filt, _ in _suite_data():
         E = V.bundle
         mu = parabolic_degree(V) / 2
-        d_min = floor_frac(mu - len(V.points))
+        d_min = math.floor(mu - len(V.points))
         best = None
         for d in range(max(E.twists), d_min - 1, -1):
             for W in enumerate_subbundles(E, 1, d, d):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -493,6 +497,58 @@ def test_malformed_budget_env_var_is_a_usage_error(tmp_path, monkeypatch, capsys
     # an explicit --budget wins over the environment
     assert main(["hn", "--input", str(path), "--budget", "1000"]) == 0
     assert json.loads(capsys.readouterr().out)["flags"]["budget"] == 1000
+
+
+@pytest.mark.parametrize("argv,env", [(["--budget", "-1"], None), ([], "-5")],
+                         ids=["flag", "env"])
+def test_negative_budget_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, env):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(R1_DOC))
+    if env is not None:
+        monkeypatch.setenv("PARAHN_BUDGET", env)
+    for cmd in ("hn", "bounds-F"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--input", str(path), *argv])
+        assert exc.value.code == 2
+        assert repr(env or argv[1]) in capsys.readouterr().err
+    assert build_parser().parse_args(["hn", "--input", "x", "--budget", "0"]).budget == 0
+
+
+# one rank-3 document over F_3 with two marked points, for enum-sub at rank 2,
+# fil-points (504 chains) and bounds-B
+HASH_SEED_DOC = {
+    "field": {"p": 3, "k": 1},
+    "splitting_type": [1, 0, -1],
+    "points": ["0", "1"],
+    "weights": [["1/4", "1/2", "3/4"], ["1/4", "1/2", "3/4"]],
+    "flags": [
+        {"jumps": [1, 1, 1], "subspaces": [[["1", "1", "0"]], [["1", "1", "0"], ["0", "1", "1"]]]},
+        {"jumps": [1, 1, 1], "subspaces": [[["0", "1", "2"]], [["0", "1", "2"], ["1", "0", "1"]]]},
+    ],
+    "quot": {"rank": 2, "degree": -1},
+    "fil": [
+        {"rank": 1, "degree": -1, "jumps": [[0, 0, 1], [0, 0, 1]]},
+        {"rank": 2, "degree": -1, "jumps": [[0, 1, 1], [0, 1, 1]]},
+    ],
+    "datum": ["1/1", "0/1", "-1/1"],
+}
+
+
+def test_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    # byte-equal reports, apart from timing_ms, under two string hash seeds
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(HASH_SEED_DOC))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+
+    def stdout(cmd, seed):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+        env.pop("PARAHN_BUDGET", None)
+        proc = subprocess.run([sys.executable, "-m", "parahn.cli", cmd, "--input", str(path)],
+                              env=env, capture_output=True, text=True, check=True)
+        return [line for line in proc.stdout.splitlines() if '"timing_ms"' not in line]
+
+    for cmd in ("hn", "enum-sub", "fil-points", "bounds-B"):
+        assert stdout(cmd, 1) == stdout(cmd, 2), cmd
 
 
 @pytest.mark.parametrize("exc", [AssertionError("broken invariant"), NonUniqueMaximum("two maxima")])

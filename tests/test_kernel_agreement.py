@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from parahn.gf import field_make
 from parahn.linalg import matmul, matvec, rref
-from parahn.poly import padd, pdivmod, peval, pgcd, pmul, pnorm, pscale, psub
+from parahn.poly import pdivmod, peval, pgcd, pmul, pnorm, pscale, psub
 from parahn.sheaves import SplitBundle, enumerate_subbundles
 
-from oracles import SMALL_FIELDS, pneg, pxgcd, untabled
+from oracles import SMALL_FIELDS, padd, pneg, pxgcd, untabled
 
 
 @st.composite

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from parahn.gf import field_make
-from parahn.poly import MINUS_INF, padd, pdeg, pdivmod, peval, pgcd, pmul, pnorm
+from parahn.poly import MINUS_INF, pdeg, pdivmod, peval, pgcd, pmul, pnorm
 
-from oracles import ladd, lcoeff, lfrom_poly, pxgcd
+from oracles import ladd, lcoeff, lfrom_poly, padd, pxgcd
 
 
 def test_gcd_with_common_factor_t():

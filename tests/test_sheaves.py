@@ -6,10 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from parahn.errors import BudgetExceeded, InvalidSubbundle, NotInjective
+from parahn.errors import BudgetExceeded, DegreeBoundViolated, InvalidSubbundle, NotInjective
 from parahn.gf import field_make
 from parahn.poly import (
-    padd,
     pdeg,
     pdivmod,
     pmul,
@@ -30,10 +29,7 @@ from parahn.sheaves import (
     section_twist,
     subbundle_validate,
     zero_subbundle,
-    _full_degrees,
-    _maximal_minors,
     _minor_key,
-    _minor_offsets,
 )
 
 import parahn.sheaves as sheaves
@@ -45,6 +41,7 @@ from oracles import (
     laurent_matmul,
     lfrom_poly,
     lmonomial,
+    padd,
     poly_det,
     poly_mat_rank,
     poly_matmul,
@@ -247,13 +244,9 @@ def test_reference_grid_reaches_every_shape_and_negative_degrees():
 
 
 def _minor_key_of(E, col_twists, mat):
-    """The enumerator's minor key of a presentation: its maximal minors laid
-    out by _minor_offsets, then scaled."""
-    offsets = _minor_offsets(_full_degrees(E, col_twists))
-    flat = [0] * offsets[-1]
-    for at, m in zip(offsets, _maximal_minors(E.field, E.rank, tuple(zip(*mat)))):
-        flat[at:at + len(m)] = m
-    return _minor_key(E.field, flat)
+    """The enumerator's minor key of a presentation: its flattened maximal
+    minors, scaled."""
+    return _minor_key(E.field, Subbundle(E, col_twists, mat)._minors)
 
 
 def _random_automorphism(rng, F, col_twists, mat):
@@ -429,6 +422,18 @@ def test_containment_of_axis_in_full():
     assert full_subbundle(E).contains(axis)
     assert not axis.contains(full_subbundle(E))
     assert axis.contains(zero_subbundle(E))
+
+
+def test_contains_rejects_an_entry_above_its_degree_bound():
+    # a presentation built directly, unvalidated: its entry t in row 1 of
+    # O(0) + O(-1), twist 0, lies above the bound -1 there
+    E = bundle(F3, 0, -1)
+    axis = make_subbundle(E, (0,), (((1,),), ((),)))
+    bad = Subbundle(E, (0,), (((1,),), ((0, 1),)))
+    with pytest.raises(DegreeBoundViolated):
+        axis.contains(bad)
+    with pytest.raises(DegreeBoundViolated):
+        bad.contains(axis)
 
 
 # (bundle, lowest degree below the top of each rank's window); the window
