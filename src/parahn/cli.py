@@ -335,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact slope-stability calculator for parabolic bundles "
         "on the projective line over small finite fields.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd)
         p.add_argument("--input", required=True, help="bundle spec JSON file")
@@ -358,11 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -8,11 +8,12 @@ field field_make(p, 1): products are pmul then pdivmod by f, irreducibility
 is Ben-Or's gcd test, and embeddings evaluate with peval.  Prime-field codes
 0..p-1 mean the same element in every field of characteristic p.
 
-Fields with at most _TABLE_MAX = 256 elements precompute dense add, sub, mul,
-neg and inv tables, so each of those element operations is one lookup.  Bulk
-work (echelon forms, polynomial arithmetic) goes through the row primitives
-(row_add, row_addmul, row_scale, ...), which act on whole rows at once.  They
-are the one place outside the element methods that branches on the tables:
+Fields with at most _TABLE_MAX = 256 elements precompute dense add, mul, neg
+and inv tables, so each of those element operations is one lookup.  There is
+no subtraction: x - c*y is x + (-c)*y.  Bulk work (echelon forms, polynomial
+arithmetic) goes through the three row primitives row_scale, row_addmul and
+row_horner, which act on whole rows at once.  They are the one place outside
+the element methods that branches on the tables:
 the table branch fetches one table row per call and then does plain list
 lookups, so linalg and poly never see a table and have one copy of each
 kernel.  Larger fields have no tables; there the row primitives fall back to
@@ -99,7 +100,7 @@ class GF:
         self.q = p ** k
         self._fp = None if k == 1 else field_make(p, 1)
         self.modulus = None if k == 1 else _smallest_irreducible(self._fp, k)
-        self._add = self._sub = self._mul = self._neg = self._inv = None
+        self._add = self._mul = self._neg = self._inv = None
         if self.q <= _TABLE_MAX:
             self._build_tables()
 
@@ -148,8 +149,6 @@ class GF:
                     )
             self._add, self._mul = add, mul
             self._neg = [self.encode((-x) % p for x in vecs[a]) for a in range(q)]
-        neg = self._neg
-        self._sub = [[row[neg[b]] for b in range(q)] for row in self._add]
         self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
 
     def add(self, a: int, b: int) -> int:
@@ -157,11 +156,6 @@ class GF:
             return self._add[a][b]
         p = self.p
         return self.encode((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b)))
-
-    def sub(self, a: int, b: int) -> int:
-        if self._sub is not None:
-            return self._sub[a][b]
-        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self._neg is not None:
@@ -205,27 +199,6 @@ class GF:
     # element after fetching the table row of the scalar once, and a fallback
     # through the element methods for fields without tables.
 
-    def row_add(self, x, y) -> list:
-        """x + y."""
-        if self._add is not None:
-            add = self._add
-            return [add[a][b] for a, b in zip(x, y)]
-        return [self.add(a, b) for a, b in zip(x, y)]
-
-    def row_sub(self, x, y) -> list:
-        """x - y."""
-        if self._sub is not None:
-            sub = self._sub
-            return [sub[a][b] for a, b in zip(x, y)]
-        return [self.sub(a, b) for a, b in zip(x, y)]
-
-    def row_neg(self, x) -> list:
-        """-x."""
-        if self._neg is not None:
-            neg = self._neg
-            return [neg[a] for a in x]
-        return [self.neg(a) for a in x]
-
     def row_scale(self, x, c: int) -> list:
         """c * x."""
         if self._mul is not None:
@@ -239,25 +212,6 @@ class GF:
             add, mc = self._add, self._mul[c]
             return [add[a][mc[b]] for a, b in zip(x, y)]
         return [self.add(a, self.mul(c, b)) for a, b in zip(x, y)]
-
-    def row_submul(self, x, c: int, y) -> list:
-        """x - c * y."""
-        if self._mul is not None:
-            sub, mc = self._sub, self._mul[c]
-            return [sub[a][mc[b]] for a, b in zip(x, y)]
-        return [self.sub(a, self.mul(c, b)) for a, b in zip(x, y)]
-
-    def row_dot(self, x, y) -> int:
-        """sum of x_i * y_i."""
-        acc = 0
-        if self._mul is not None:
-            add, mul = self._add, self._mul
-            for a, b in zip(x, y):
-                acc = add[acc][mul[a][b]]
-            return acc
-        for a, b in zip(x, y):
-            acc = self.add(acc, self.mul(a, b))
-        return acc
 
     def row_horner(self, x, t: int) -> int:
         """sum of x_i * t^i (x low-to-high), by Horner's rule."""

@@ -3,8 +3,8 @@
 Matrices are tuples of row tuples of element codes.  rref output is the
 canonical reduced row echelon form, so it doubles as a dedup key for row
 spaces and flag subspaces.  Every kernel works a whole row at a time through
-the field's row primitives (GF.row_scale, GF.row_submul, ...), never one
-element method call per entry.
+the field's row primitives GF.row_scale and GF.row_addmul, never one
+element method call per entry; elimination subtracts as row + (-c) * pivot.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def rref(F: GF, rows):
         mat[r] = row_r
         for i, row in enumerate(mat):
             if i != r and row[c]:
-                mat[i] = F.row_submul(row, row[c], row_r)
+                mat[i] = F.row_addmul(row, F.neg(row[c]), row_r)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -85,10 +85,6 @@ def matmul(F: GF, a, b):
                 acc = F.row_addmul(acc, x, bl)
         out.append(tuple(acc))
     return tuple(out)
-
-
-def matvec(F: GF, a, v):
-    return tuple(F.row_dot(row, v) for row in a)
 
 
 def identity(n: int):

@@ -29,7 +29,7 @@ from .errors import (
     NotNested,
     ShapeMismatch,
 )
-from .linalg import identity, kernel_basis, matmul, matvec, rref, subspace_leq
+from .linalg import identity, kernel_basis, matmul, rref, subspace_leq
 from .poly import pnorm
 from .sheaves import SplitBundle, Subbundle, quotient_bundle
 
@@ -45,12 +45,12 @@ class Flag:
     def chain_length(self) -> int:
         return len(self.jumps)
 
-    def subspace(self, m: int, n: int):
+    def subspace(self, m: int):
         """Echelon rows of the m-th member; m = 0 is zero, m = N is everything."""
         if m == 0:
             return ()
         if m == len(self.jumps):
-            return identity(n)
+            return identity(sum(self.jumps))
         return self.subspaces[m - 1]
 
     @cached_property
@@ -296,7 +296,7 @@ def sub_parabolic(V: ParabolicBundle, W: Subbundle) -> ParabolicBundle:
         spaces = []
         dims = [0]
         for m in range(1, fl.chain_length):
-            ann = kernel_basis(F, fl.subspace(m, n), ncols=n)
+            ann = kernel_basis(F, fl.subspace(m), ncols=n)
             constraint = matmul(F, ann, fiber)
             pre = kernel_basis(F, constraint, ncols=r)
             red, rk, _ = rref(F, pre)
@@ -313,15 +313,14 @@ def quotient_parabolic(V: ParabolicBundle, W: Subbundle) -> ParabolicBundle:
     if W.rank == V.rank:
         raise FullRank("quotient by a full-rank subbundle is zero")
     F = V.field
-    n = V.rank
     Q, qmap = quotient_bundle(V.bundle, W)
     theta = induced_quot_datum(V, W)
     flags = []
     for idx, (x, fl) in enumerate(zip(V.points, V.flags)):
-        proj = qmap.at(x)
+        proj_t = tuple(zip(*qmap.at(x)))
         spaces = []
         for m in range(1, fl.chain_length):
-            imgs = tuple(matvec(F, proj, v) for v in fl.subspace(m, n))
+            imgs = matmul(F, fl.subspace(m), proj_t)
             red, rk, _ = rref(F, imgs)
             spaces.append(red[:rk])
         jumps = tuple(
@@ -364,8 +363,8 @@ def hom_parabolic(A: ParabolicBundle, B: ParabolicBundle):
     for x, fa, fb in zip(A.points, A.flags, B.flags):
         powers = [F.pow(x, e) for e in range(max(s[2] for s in slots) + 1)]
         for m in range(1, fa.chain_length):
-            za = fa.subspace(m, nA)
-            ann = kernel_basis(F, fb.subspace(m, nB), ncols=nB)
+            za = fa.subspace(m)
+            ann = kernel_basis(F, fb.subspace(m), ncols=nB)
             for u in za:
                 for z in ann:
                     row = []
@@ -403,10 +402,10 @@ def direct_sum(A: ParabolicBundle, B: ParabolicBundle | None) -> ParabolicBundle
         spaces = []
         for m in range(1, fa.chain_length):
             rows = []
-            for v in fa.subspace(m, nA):
+            for v in fa.subspace(m):
                 full = tuple(v) + (0,) * nB
                 rows.append(tuple(full[i] for i in order))
-            for v in fb.subspace(m, nB):
+            for v in fb.subspace(m):
                 full = (0,) * nA + tuple(v)
                 rows.append(tuple(full[i] for i in order))
             red, rk, _ = rref(F, rows)

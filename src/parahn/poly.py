@@ -7,10 +7,10 @@ imports no field module at run time (gf builds its extension fields on poly's
 kernels over the prime field, and imports poly).
 
 The arithmetic kernels work on coefficient rows through the field's row
-primitives (GF.row_add, GF.row_addmul, ...): a product is one shifted
-x + c*y per term of the shorter factor, a division step one shifted x - c*y,
-never one element method call per coefficient.  psub returns early on a zero
-second operand and pmul scales directly by a constant factor.
+primitives (GF.row_scale, GF.row_addmul, GF.row_horner): a product is one
+shifted x + c*y per term of the shorter factor, a division step one shifted
+x + (-c)*y, never one element method call per coefficient.  psub returns
+early on a zero second operand and pmul scales directly by a constant factor.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .gf import GF
-
-MINUS_INF = float("-inf")
 
 
 def pnorm(c) -> tuple:
@@ -33,19 +31,15 @@ def pnorm(c) -> tuple:
     return c
 
 
-def pdeg(a):
-    """Degree; the zero polynomial gets the -inf sentinel."""
-    return len(a) - 1 if a else MINUS_INF
-
-
 def psub(F: GF, a, b):
     if not b:
         return pnorm(a)
-    out = F.row_sub(a, b)
+    minus = F.neg(1)
+    out = F.row_addmul(a, minus, b)
     if len(a) >= len(b):
         out.extend(a[len(b):])
     else:
-        out.extend(F.row_neg(b[len(a):]))
+        out.extend(F.row_scale(b[len(a):], minus))
     return pnorm(out)
 
 
@@ -87,7 +81,7 @@ def pdivmod(F: GF, a, b):
         coef = F.mul(a[-1], inv)
         shift = len(a) - len(b)
         q[shift] = coef
-        a[shift:] = F.row_submul(a[shift:], coef, b)
+        a[shift:] = F.row_addmul(a[shift:], F.neg(coef), b)
         while a and a[-1] == 0:
             a.pop()
     return pnorm(q), pnorm(a)

@@ -57,15 +57,7 @@ from .errors import (
 )
 from .gf import GF
 from .linalg import kernel_basis, rref
-from .poly import (
-    MINUS_INF,
-    pdeg,
-    peval,
-    pgcd,
-    pmap,
-    pnorm,
-    pshift,
-)
+from .poly import peval, pgcd, pmap, pnorm, pshift
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -201,10 +193,10 @@ def _check_shape(E: SplitBundle, col_twists, mat):
     for j in range(n):
         for k in range(r):
             bound = E.twists[j] - col_twists[k]
-            d = pdeg(mat[j][k])
-            if d is not MINUS_INF and d > bound:
+            c = mat[j][k]
+            if c and len(c) - 1 > bound:  # the zero polynomial has no degree
                 raise DegreeBoundViolated(
-                    f"entry ({j},{k}) has degree {d}, bound {bound}"
+                    f"entry ({j},{k}) has degree {len(c) - 1}, bound {bound}"
                 )
 
 
@@ -460,14 +452,14 @@ def _saturated_choices(F: GF, E: SplitBundle, vec):
     levels = [_expansion(E.twists, vec[:k], vec[k]) for k in range(r)]
     offsets = levels[-1][1]
     top = F.q - 1
-    step = [F.sub(c + 1, c) for c in range(top)]  # c -> c + 1
-    wrap = F.sub(0, top)  # top -> 0
+    step = [F.add(c + 1, F.neg(c)) for c in range(top)]  # c -> c + 1
+    wrap = F.neg(top)  # top -> 0
     addmul = F.row_addmul
     kept = {}  # minor key -> False (not saturated) or coefficient vectors
 
     def walk(k, flat, prefix):
         table, offs = levels[k]
-        neg = F.row_neg(flat)
+        neg = F.row_scale(flat, F.neg(1))
         imgs = []
         for free, terms in table:
             for e in range(free):

@@ -67,8 +67,15 @@ import parahn.gf as gf
 from parahn.linalg import intersect_dim, kernel_basis
 from parahn.parabolic import parabolic_degree
 from parahn.errors import BadIndex
-from parahn.poly import pdeg, pdivmod, pgcd, pmul, pnorm, pscale, pshift, psub
+from parahn.poly import pdivmod, pgcd, pmul, pnorm, pscale, pshift, psub
 from parahn.sheaves import Subbundle, enumerate_subbundles
+
+MINUS_INF = float("-inf")
+
+
+def pdeg(a):
+    """Degree; the zero polynomial gets the -inf sentinel."""
+    return len(a) - 1 if a else MINUS_INF
 
 
 def rank2_oracle(V):
@@ -144,7 +151,7 @@ def induced_jumps_reference(V, W):
         fiber = W.fiber_matrix(x)
         w_rows = [[fiber[j][k] for j in range(n)] for k in range(W.rank)]
         dims = [0] + [
-            intersect_dim(V.field, w_rows, fl.subspace(m, n))
+            intersect_dim(V.field, w_rows, fl.subspace(m))
             for m in range(1, fl.chain_length + 1)
         ]
         out.append(tuple(b - a for a, b in zip(dims, dims[1:])))
@@ -314,13 +321,13 @@ def poly_mat_rank(F, rows):
 def padd(F, a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = F.row_add(a, b)
+    out = F.row_addmul(a, 1, b)
     out.extend(a[len(b):])
     return pnorm(out)
 
 
 def pneg(F, a):
-    return tuple(F.row_neg(a))
+    return tuple(F.row_scale(a, F.neg(1)))
 
 
 def pxgcd(F, a, b):
@@ -607,7 +614,7 @@ def ladd(F, a, b):
     i = a[0] - lo
     out[i:i + len(a[1])] = a[1]
     i = b[0] - lo
-    out[i:i + len(b[1])] = F.row_add(out[i:i + len(b[1])], b[1])
+    out[i:i + len(b[1])] = F.row_addmul(out[i:i + len(b[1])], 1, b[1])
     return lnorm(lo, out)
 
 

@@ -456,6 +456,13 @@ def test_main_missing_input(tmp_path, capsys):
     assert code == 1
 
 
+def test_no_command_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    assert "command" in capsys.readouterr().err
+
+
 def test_run_command_rejects_unknown_command(tmp_path):
     from parahn.errors import UnknownCommand
 

@@ -164,7 +164,6 @@ def test_element_ops_match_coefficient_vectors(p, k, tabled):
         assert F.neg(a) == neg[a]
         for b in range(F.q):
             assert F.add(a, b) == add[a][b]
-            assert F.sub(a, b) == add[a][neg[b]]
             assert F.mul(a, b) == mul[a][b]
         if a:
             assert mul[a][F.inv(a)] == 1
@@ -179,24 +178,19 @@ def test_row_primitives_match_coefficient_vectors(p, k, tabled):
     # every (a, b) pair once, so each scalar c below covers all triples
     x = [a for a in range(q) for _ in range(q)]
     y = [b for _ in range(q) for b in range(q)]
-    assert F.row_add(x, y) == [add[a][b] for a, b in zip(x, y)]
-    assert F.row_sub(x, y) == [add[a][neg[b]] for a, b in zip(x, y)]
-    assert F.row_neg(x) == [neg[a] for a in x]
     for c in range(q):
         cy = [mul[c][b] for b in y]
         assert F.row_scale(y, c) == cy
         assert F.row_addmul(x, c, y) == [add[a][b] for a, b in zip(x, cy)]
-        assert F.row_submul(x, c, y) == [add[a][neg[b]] for a, b in zip(x, cy)]
         powers = [1, c, mul[c][c], mul[c][mul[c][c]]]
         for a in range(q):
             row = (a, c, neg[a], 1)
             dot = 0
             for u, v in zip(row, powers):
                 dot = add[dot][mul[u][v]]
-            assert F.row_dot(row, powers) == dot
             assert F.row_horner(row, c) == dot
-    assert F.row_add(x, y[:3]) == F.row_add(x[:3], y[:3])  # rows are zipped
-    assert F.row_dot((), ()) == 0 and F.row_horner((), 1) == 0
+    assert F.row_addmul(x, 1, y[:3]) == F.row_addmul(x[:3], 1, y[:3])  # rows are zipped
+    assert F.row_horner((), 1) == 0
 
 
 def test_prime_field_above_table_size_multiplies():

@@ -229,7 +229,7 @@ def _presentation_degree(V, col_twists, mat):
         )
         dims = [0]
         for m in range(1, fl.chain_length + 1):
-            dims.append(intersect_dim(F, fiber_rows, fl.subspace(m, n)))
+            dims.append(intersect_dim(F, fiber_rows, fl.subspace(m)))
         jumps = [b - a for a, b in zip(dims, dims[1:])]
         deg += r - sum(l * b for l, b in zip(lam, jumps))
     return deg

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from parahn.gf import field_make
-from parahn.poly import MINUS_INF, pdeg, pdivmod, peval, pgcd, pmul, pnorm
+from parahn.poly import pdivmod, peval, pgcd, pmul, pnorm
 
-from oracles import ladd, lcoeff, lfrom_poly, padd, pxgcd
+from oracles import MINUS_INF, ladd, lcoeff, lfrom_poly, padd, pdeg, pxgcd
 
 
 def test_gcd_with_common_factor_t():

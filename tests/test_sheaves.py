@@ -9,7 +9,6 @@ import pytest
 from parahn.errors import BudgetExceeded, DegreeBoundViolated, InvalidSubbundle, NotInjective
 from parahn.gf import field_make
 from parahn.poly import (
-    pdeg,
     pdivmod,
     pmul,
     pnorm,
@@ -42,6 +41,7 @@ from oracles import (
     lfrom_poly,
     lmonomial,
     padd,
+    pdeg,
     poly_det,
     poly_mat_rank,
     poly_matmul,

@@ -1,11 +1,14 @@
-"""The public surface of parahn stays pruned.
+"""The public surface of parahn stays pruned, and the engine stays exact.
 
 Every public top-level function and class in src/parahn must be reached by
 code in src/, bench/ or tools/ outside its own definition, or be named as
 library API in the README's Library section.  A reference is a bare name or
 an attribute of a parahn module (`hn.hn_filtration`) read in the syntax tree;
 strings such as specio's "relative_slope" key do not count, and neither do
-import lines, so an import that nothing uses keeps nothing alive.
+import lines, so an import that nothing uses keeps nothing alive.  Every
+public method (or property) of a class in src/parahn must likewise be read
+as an attribute (`F.row_scale`) somewhere in those directories, or be named
+in the Library section.  No module of src/parahn reads the name `float`.
 """
 
 import ast
@@ -62,6 +65,16 @@ def public_definitions():
                 yield path.stem, node.name
 
 
+def public_methods():
+    """(module, class, name) of each public method of a top-level class."""
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield path.stem, cls.name, node.name
+
+
 def test_every_public_name_has_a_caller_or_is_library_api():
     used = set()
     for d in CALLER_DIRS:
@@ -70,6 +83,29 @@ def test_every_public_name_has_a_caller_or_is_library_api():
     used |= library_names()
     orphans = [f"{mod}.{name}" for mod, name in public_definitions() if name not in used]
     assert orphans == []
+
+
+def test_every_public_method_is_read_as_an_attribute():
+    read = library_names()
+    for d in CALLER_DIRS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            read |= {
+                node.attr
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            }
+    orphans = [f"{mod}.{cls}.{name}" for mod, cls, name in public_methods() if name not in read]
+    assert orphans == []
+
+
+def test_no_float_name_in_the_engine():
+    loads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "float" and isinstance(node.ctx, ast.Load)
+    ]
+    assert loads == []
 
 
 def test_strings_imports_and_recursion_are_not_references():

@@ -33,6 +33,8 @@ SEEDS = (1, 7)
 # O^4 over F_2 at (3, -1) is the costliest window of the hn-ladder rung r4_f2.
 # (1, 0, 0, -1) at rank 3 and O^4 at rank 4 walk three and four column
 # levels, with unequal column twists in the first; O^5 has ten row subsets.
+# F_257 and F_512 have no op tables, so their windows run the element-method
+# branch of every row primitive.
 ENUM_WINDOWS = (
     [(2, 1, (0, 0, 0, 0), r, d) for r, d in ((3, 0), (3, -1), (2, 0), (2, -1), (4, 0))]
     + [(2, 1, (1, 0, 0, -1), 3, d) for d in (0, -1)]
@@ -41,6 +43,7 @@ ENUM_WINDOWS = (
     + [(3, 1, (0, 0, 0), 2, d) for d in (0, -1)]
     + [(2, 2, (0, 0, 0), 2, -1), (3, 1, (0, 0, 0), 1, -2)]
     + [(5, 1, (0, 0, 0), 2, 0), (2, 3, (0, 0, 0), 2, 0), (2, 1, (0, 0, 0, 0, 0), 2, 0)]
+    + [(257, 1, (0, 0), 1, 0), (2, 9, (0, 0), 1, 0)]
 )
 ENUM_SCRIPT = """
 import json, sys
